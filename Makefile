@@ -1,7 +1,7 @@
 # Convenience targets for the PPoPP '95 reproduction.
 
 .PHONY: install test bench bench-kernels bench-native bench-elastic \
-	bench-service faults soak mp-soak elastic-soak service-soak reproduce \
+	bench-service bench-e2e faults soak mp-soak elastic-soak service-soak reproduce \
 	examples trace profile clean clean-reports
 
 # Seeds the fault-injection sweep runs under (space separated).
@@ -56,6 +56,13 @@ bench-elastic:
 # served plans bit-identically, and writes BENCH_service.json.
 bench-service:
 	python benchmarks/bench_service.py
+
+# End-to-end mini-HPF benchmark (benchmarks/e2e/README.md): its own
+# tests, then a quick timed + traced pass over every workload.  Every
+# result is checked against an independent oracle; any mismatch fails.
+bench-e2e:
+	pytest -q benchmarks/e2e
+	python3 benchmarks/e2e/run.py --quick --trace 0 1 --out bench-e2e-quick.json
 
 # Fault-injection + resilient-protocol suites at several seeds
 # (docs/FAULT_MODEL.md): same seed => same fault trace, so any failure
@@ -216,4 +223,4 @@ clean: clean-reports
 clean-reports:
 	rm -rf $(FAULT_REPORT_DIR)
 	rm -f trace.json trace.jsonl trace-summary.txt BENCH_*_metrics.json
-	rm -f PROFILE.json PROFILE_mp.json
+	rm -f PROFILE.json PROFILE_mp.json bench-e2e-quick.json

@@ -71,10 +71,23 @@ def expand_table(start: int, gaps, count: int) -> np.ndarray:
     return out
 
 
-def _cells_of(indices, a: int, b: int) -> np.ndarray:
+_INT64 = np.iinfo(np.int64)
+
+
+def _cells_of(indices, p: int, k: int, a: int, b: int) -> np.ndarray:
     cells = np.asarray(indices, dtype=np.int64)
     if a == 1 and b == 0:
         return cells
+    # ``a*i + b`` is monotone in ``i``, so the extremes of the index
+    # vector bound every cell; check them exactly (Python ints) rather
+    # than let the int64 vector silently wrap.
+    if cells.size:
+        for i in (int(cells.min()), int(cells.max())):
+            if not _INT64.min <= a * i + b <= _INT64.max:
+                raise OverflowError(
+                    f"aligned cell a*i+b overflows int64 for p={p}, k={k}, "
+                    f"a={a}, b={b} at index {i}"
+                )
     return a * cells + b
 
 
@@ -89,7 +102,7 @@ def owners_of(indices, p: int, k: int, a: int = 1, b: int = 0) -> np.ndarray:
     if p <= 0 or k <= 0:
         raise ValueError(f"need p > 0 and k > 0, got p={p}, k={k}")
     ambient().inc("kernels.owners_of")
-    cells = _cells_of(indices, a, b)
+    cells = _cells_of(indices, p, k, a, b)
     return cells % (p * k) // k
 
 
@@ -104,7 +117,7 @@ def local_addresses_of(indices, p: int, k: int, a: int = 1, b: int = 0) -> np.nd
     if p <= 0 or k <= 0:
         raise ValueError(f"need p > 0 and k > 0, got p={p}, k={k}")
     ambient().inc("kernels.local_addresses_of")
-    cells = _cells_of(indices, a, b)
+    cells = _cells_of(indices, p, k, a, b)
     rows, offsets = np.divmod(cells, p * k)
     return rows * k + offsets % k
 

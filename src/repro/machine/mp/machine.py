@@ -1,7 +1,7 @@
 """The multiprocess machine: real processes under a crash-tolerant driver.
 
-:class:`MpMachine` implements the :class:`~repro.machine.iface.Machine`
-protocol with one real OS process per rank
+:class:`MpMachine` is the :class:`~repro.machine.iface.Machine`
+backend with one real OS process per rank
 (:mod:`repro.machine.mp.worker`), arenas in POSIX shared memory
 (:mod:`repro.machine.mp.shm`), peer exchange over framed unix-domain
 sockets (:mod:`repro.machine.mp.framing`), and supervision --
@@ -37,15 +37,15 @@ import socket
 import tempfile
 import weakref
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
 from ...obs import Observability
 from ..faults import FaultEvent, FaultPlan
+from ..iface import Machine, RankDied
 from ..network import Message, NetworkStats
-from ..processor import MemoryStats
-from ..vm import NodeContext
+from ..processor import MemoryStats, Processor
 from .framing import FrameError, recv_frame, send_frame
 from .shm import ShmArena
 from .supervisor import Supervisor
@@ -57,17 +57,6 @@ __all__ = ["MpConfig", "MpError", "MpMachine", "RankHandle"]
 
 class MpError(RuntimeError):
     """Unrecoverable backend failure (a *diagnostic*, never a hang)."""
-
-
-class RankDied(BaseException):
-    """Internal control flow: the rank whose node function is executing
-    lost its worker mid-superstep.  Derives from ``BaseException`` so a
-    node function's own ``except Exception`` cannot swallow it; the
-    machine's run loop converts it into the rank's ``None`` result."""
-
-    def __init__(self, rank: int) -> None:
-        super().__init__(rank)
-        self.rank = rank
 
 
 @dataclass(frozen=True)
@@ -96,94 +85,48 @@ class MpConfig:
     shutdown_timeout: float = 2.0
 
 
-class RankHandle:
+class RankHandle(Processor):
     """Driver-side :class:`~repro.machine.iface.RankState` for one rank.
 
-    Mirrors :class:`~repro.machine.processor.Processor` exactly, except
-    arenas are driver-owned shared-memory segments
+    A :class:`~repro.machine.processor.Processor` whose arenas are
+    driver-owned shared-memory segments
     (:class:`~repro.machine.mp.shm.ShmArena`): the rank's worker process
     maps the same bytes, so worker-side writes (scribbles) are visible
     here without copies, and checkpoint capture/restore work unchanged.
+    Only arena creation, :meth:`free`, and the crash wipe differ.
     """
 
     def __init__(self, rank: int, registry: set[str]) -> None:
-        if rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {rank}")
-        self.rank = rank
+        super().__init__(rank)
         self._registry = registry  # session-wide shm names, for teardown
-        self._arenas: dict[str, ShmArena] = {}
-        self.stats = MemoryStats()
-        self.alive = True
-        self.incarnation = 0
-        self.crashed_at: int | None = None
+        self._segments: dict[str, ShmArena] = {}
 
-    # -- crash lifecycle (Processor parity) ----------------------------
-
-    def crash(self, superstep: int) -> None:
-        if not self.alive:
-            raise RuntimeError(f"rank {self.rank} is already dead")
-        self.alive = False
-        self.crashed_at = superstep
-        self._wipe()
-
-    def restart(self) -> None:
-        if self.alive:
-            raise RuntimeError(f"rank {self.rank} is not dead")
-        self.alive = True
-        self.incarnation += 1
-
-    def _wipe(self) -> None:
-        for arena in self._arenas.values():
-            self._registry.discard(arena.shm_name)
-            arena.close(unlink=True)
-        self._arenas.clear()
-
-    # -- arenas --------------------------------------------------------
-
-    @property
-    def memory_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._arenas))
-
-    def arenas(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, self._arenas[name].array) for name in self.memory_names]
-
-    def allocate(self, name: str, size: int, dtype=np.float64, fill=0) -> np.ndarray:
-        old = self._arenas.pop(name, None)
-        if old is not None:
-            self._registry.discard(old.shm_name)
-            old.close(unlink=True)
+    def _new_arena(self, name: str, size: int, dtype, fill) -> np.ndarray:
+        if name in self._segments:
+            self.free(name)
         arena = ShmArena(name, size, dtype, fill)
-        self._arenas[name] = arena
+        self._segments[name] = arena
         self._registry.add(arena.shm_name)
-        self.stats.allocations += 1
-        self.stats.allocated_cells += size
         return arena.array
 
-    def memory(self, name: str) -> np.ndarray:
-        try:
-            return self._arenas[name].array
-        except KeyError:
-            raise KeyError(
-                f"rank {self.rank} has no local memory named {name!r}; "
-                f"allocated: {sorted(self._arenas)}"
-            ) from None
-
-    def has_memory(self, name: str) -> bool:
-        return name in self._arenas
-
     def free(self, name: str) -> None:
-        if name not in self._arenas:
-            raise KeyError(f"rank {self.rank} has no local memory named {name!r}")
-        arena = self._arenas.pop(name)
+        # The driver-side view must go before its segment can close.
+        super().free(name)
+        self._unlink(self._segments.pop(name))
+
+    def _wipe(self) -> None:
+        super()._wipe()
+        for arena in self._segments.values():
+            self._unlink(arena)
+        self._segments.clear()
+
+    def _unlink(self, arena: ShmArena) -> None:
         self._registry.discard(arena.shm_name)
         arena.close(unlink=True)
 
     def shm_arena(self, name: str) -> ShmArena:
         """The backing segment (the scribble command needs its name)."""
-        return self._arenas[name]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RankHandle(rank={self.rank}, memories={sorted(self._arenas)})"
+        return self._segments[name]
 
 
 def _teardown(
@@ -213,15 +156,15 @@ def _teardown(
     shutil.rmtree(session_dir, ignore_errors=True)
 
 
-class MpMachine:
+class MpMachine(Machine):
     """A ``p``-rank machine whose ranks are real, killable processes.
 
-    Drop-in for :class:`~repro.machine.vm.VirtualMachine` behind the
-    :class:`~repro.machine.iface.Machine` protocol: same superstep
-    semantics, same fault-plan schedule (via the shared
-    :func:`~repro.machine.faults.plan_channel_delivery`), same crash
-    bookkeeping -- plus real ``SIGKILL`` kill points and detection of
-    deaths nobody scheduled.
+    Drop-in for :class:`~repro.machine.vm.VirtualMachine`: both inherit
+    the superstep loop, barrier phase order, and crash bookkeeping of
+    :class:`~repro.machine.iface.Machine`, and share the fault-plan
+    schedule (via :func:`~repro.machine.faults.plan_channel_delivery`)
+    -- plus real ``SIGKILL`` kill points and detection of deaths nobody
+    scheduled.
     """
 
     def __init__(
@@ -232,19 +175,13 @@ class MpMachine:
         config: MpConfig | None = None,
         **overrides: Any,
     ) -> None:
-        if p <= 0:
-            raise ValueError(f"need at least one rank, got p={p}")
-        self.p = p
+        super().__init__(p, obs)
         self.fault_plan = fault_plan
-        self.obs = obs if obs is not None else Observability(enabled=False)
         self.config = replace(config or MpConfig(), **overrides)
         self._shm_names: set[str] = set()
         self.processors = [RankHandle(rank, self._shm_names) for rank in range(p)]
         self.stats = NetworkStats()
         self.fault_events: list[FaultEvent] = []
-        self.crash_log: list[tuple[int, int]] = []
-        self._restart_at: dict[int, int] = {}
-        self.barrier_hooks: list[Callable[["MpMachine", int], None]] = []
         self._superstep = 0
         self._staged: dict[int, list[tuple[int, Any, Any]]] = {
             r: [] for r in range(p)
@@ -331,9 +268,6 @@ class MpMachine:
             self._socks.append(conn)
             waiting.pop(rank, None)
 
-    def _default_downtime(self) -> int:
-        return self.fault_plan.crash_downtime if self.fault_plan is not None else 1
-
     # ------------------------------------------------------------------
     # Control commands
     # ------------------------------------------------------------------
@@ -377,7 +311,7 @@ class MpMachine:
         return reply
 
     # ------------------------------------------------------------------
-    # Machine-level messaging (Machine protocol)
+    # Machine-level messaging
     # ------------------------------------------------------------------
 
     def _check_rank(self, rank: int, what: str) -> None:
@@ -450,58 +384,24 @@ class MpMachine:
     # Crash lifecycle
     # ------------------------------------------------------------------
 
-    def alive(self, rank: int) -> bool:
-        return self.processors[rank].alive
-
-    @property
-    def dead_ranks(self) -> tuple[int, ...]:
-        return tuple(r for r in range(self.p) if not self.processors[r].alive)
-
-    def crash_rank(self, rank: int, downtime: int | None = None) -> None:
-        """Really kill ``rank``'s worker (``SIGKILL``), with the same
-        bookkeeping and restart schedule as the oracle."""
-        if downtime is None:
-            downtime = self._default_downtime()
-        if downtime < 1:
-            raise ValueError(f"downtime must be >= 1 superstep, got {downtime}")
-        self._kill_rank(rank, self._superstep, downtime)
-
-    def _kill_rank(self, rank: int, step: int, downtime: int) -> None:
+    def _kill(self, rank: int) -> None:
+        """Really kill the rank's worker (``SIGKILL``)."""
         self.supervisor.kill(rank)
-        self._crash(rank, step, downtime)
 
-    def _crash(self, rank: int, step: int, downtime: int) -> None:
-        handle = self.processors[rank]
-        if not handle.alive:
-            return  # already accounted (e.g. detected twice in one step)
-        handle.crash(step)
+    def _quarantine(self, rank: int, step: int) -> None:
         # The rank's staged sends die with it -- oracle quarantine of a
         # dead source's pending traffic.
         for dest, tag, _payload in self._staged[rank]:
             self._quarantine_event(step, rank, dest, tag)
         self._staged[rank] = []
-        self.record_fault(step, "crash", rank, -1, None, 0)
-        self.crash_log.append((rank, step))
-        self._restart_at[rank] = step + 1 + downtime
 
-    def _revive_due(self) -> None:
-        """Respawn dead ranks whose downtime elapsed: a fresh worker
-        process under a bumped incarnation, arenas empty (restoring
-        state is the checkpoint layer's job, exactly as in-process)."""
-        step = self._superstep
-        for rank, when in list(self._restart_at.items()):
-            if step >= when:
-                handle = self.processors[rank]
-                handle.restart()
-                self._spawn(rank)
-                self._await_hello({rank})
-                self.record_fault(
-                    step, "restart", rank, -1, None, handle.incarnation
-                )
-                del self._restart_at[rank]
+    def _respawn(self, rank: int) -> None:
+        """A fresh worker process under the bumped incarnation."""
+        self._spawn(rank)
+        self._await_hello({rank})
 
     # ------------------------------------------------------------------
-    # Elastic membership (Machine protocol)
+    # Elastic membership
     # ------------------------------------------------------------------
 
     def grow_to(self, new_p: int) -> None:
@@ -659,70 +559,33 @@ class MpMachine:
     # Barrier
     # ------------------------------------------------------------------
 
-    def _barrier(self) -> None:
-        """Superstep barrier, same phase order as the oracle: hooks,
-        scribbles, crash points, then delivery -- except delivery here
-        is a two-phase distributed exchange (flush + marks, then
-        deliver), and "crash" means ``SIGKILL``."""
-        step = self._superstep
-        with self.obs.span("barrier", step=step):
-            for hook in self.barrier_hooks:
-                hook(self, step)
-            self.supervisor.drain_heartbeats()
-            self._reap_unexpected(step)
-            plan = self.fault_plan
-            if plan is not None:
-                self._inject_scribbles(plan, step)
-                for rank in range(self.p):
-                    if self.processors[rank].alive and plan.crashed(step, rank):
-                        self._kill_rank(rank, step, plan.crash_downtime)
-            self._exchange(step)
-            self._superstep += 1
-        self.obs.inc("vm.supersteps")
-
-    def _reap_unexpected(self, step: int) -> None:
+    def _reap(self, step: int) -> None:
         """Fold deaths nobody scheduled (external ``kill -9``, a worker
         segfault) into ordinary crash bookkeeping at this superstep."""
+        self.supervisor.drain_heartbeats()
         for rank in range(self.p):
             if not self.processors[rank].alive:
                 continue
             if self.supervisor.exitcode(rank) is not None:
                 self._crash(rank, step, self._default_downtime())
 
-    def _inject_scribbles(self, plan: FaultPlan, step: int) -> None:
-        """Oracle-parity scribble points, executed *inside the worker
-        process* against the shared segment (the cross-process write is
-        the backend's proof the memory is really shared)."""
-        if plan.scribble <= 0.0 and not plan.forced_scribbles:
-            return
-        for rank in range(self.p):
-            handle = self.processors[rank]
-            if not handle.alive:
-                continue
-            for name in handle.memory_names:
-                if not plan.scribbled(step, rank, name):
-                    continue
-                arena = handle.shm_arena(name)
-                salt = plan.scribble_salt(step, rank, name)
-                try:
-                    reply = self._command(
-                        rank,
-                        {
-                            "op": "scribble",
-                            "shm_name": arena.shm_name,
-                            "size": arena.size,
-                            "dtype": arena.dtype.str,
-                            "salt": salt,
-                            "width": plan.scribble_width,
-                        },
-                    )
-                except RankDied:
-                    break  # rank died under us; it has no arenas now
-                touched = reply["touched"]
-                if not touched:
-                    continue
-                handle.stats.scribbles += 1
-                self.record_fault(step, "scribble", rank, -1, name, touched[0])
+    def _scribble(self, rank: int, name: str, salt: int, width: int) -> list[int]:
+        """Oracle-parity scribble, executed *inside the worker process*
+        against the shared segment (the cross-process write is the
+        backend's proof the memory is really shared)."""
+        arena = self.processors[rank].shm_arena(name)
+        reply = self._command(
+            rank,
+            {
+                "op": "scribble",
+                "shm_name": arena.shm_name,
+                "size": arena.size,
+                "dtype": arena.dtype.str,
+                "salt": salt,
+                "width": width,
+            },
+        )
+        return reply["touched"]
 
     def _post(self, rank: int, cmd: dict) -> bool:
         """Fire a command without waiting for the reply (barrier
@@ -792,8 +655,9 @@ class MpMachine:
             sel.close()
         return replies
 
-    def _exchange(self, step: int) -> None:
-        """Two-phase distributed barrier delivery.
+    def _deliver(self, step: int) -> None:
+        """Two-phase distributed barrier delivery, same place in the
+        barrier phase order as the oracle's, then the clock advances.
 
         Phase 1 (*flush*): every live worker receives its staged sends
         plus the live-set/incarnation map, pushes data frames to peers,
@@ -884,76 +748,11 @@ class MpMachine:
         )
         for rank, reply in replies.items():
             self._merge_reply(step, rank, reply)
-
-    # ------------------------------------------------------------------
-    # Execution (oracle-parity run loop)
-    # ------------------------------------------------------------------
+        self._superstep += 1
 
     @property
     def superstep(self) -> int:
         return self._superstep
-
-    def run(self, fn: Callable[..., Any], *args: Any) -> list[Any]:
-        obs = self.obs
-        step = self._superstep
-        with obs.span("superstep", step=step):
-            self._revive_due()
-            results = []
-            for rank in range(self.p):
-                if not self.processors[rank].alive:
-                    results.append(None)
-                    continue
-                with obs.span("node", rank=rank, step=step):
-                    try:
-                        results.append(fn(NodeContext(self, rank), *args))
-                    except RankDied:
-                        results.append(None)
-            self._barrier()
-        return results
-
-    def run_spmd(
-        self, fn: Callable[..., Any], per_rank_args: Sequence[tuple] | None = None
-    ) -> list[Any]:
-        if per_rank_args is not None and len(per_rank_args) != self.p:
-            raise ValueError(
-                f"need {self.p} argument tuples, got {len(per_rank_args)}"
-            )
-        obs = self.obs
-        step = self._superstep
-        with obs.span("superstep", step=step):
-            self._revive_due()
-            results = []
-            for rank in range(self.p):
-                if not self.processors[rank].alive:
-                    results.append(None)
-                    continue
-                args = per_rank_args[rank] if per_rank_args is not None else ()
-                with obs.span("node", rank=rank, step=step):
-                    try:
-                        results.append(fn(NodeContext(self, rank), *args))
-                    except RankDied:
-                        results.append(None)
-            self._barrier()
-        return results
-
-    def bsp(self, *phases: Callable[..., Any]) -> list[list[Any]]:
-        if not phases:
-            raise ValueError("need at least one phase")
-        return [self.run(phase) for phase in phases]
-
-    # ------------------------------------------------------------------
-    # Whole-machine conveniences
-    # ------------------------------------------------------------------
-
-    def allocate_all(self, name: str, sizes: Iterable[int], **kw) -> None:
-        sizes = list(sizes)
-        if len(sizes) != self.p:
-            raise ValueError(f"need {self.p} sizes, got {len(sizes)}")
-        for handle, size in zip(self.processors, sizes):
-            handle.allocate(name, size, **kw)
-
-    def memories(self, name: str) -> list:
-        return [handle.memory(name) for handle in self.processors]
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
@@ -985,13 +784,6 @@ class MpMachine:
         for handle in self.processors:
             handle._wipe()
         self._finalizer()
-
-    def __enter__(self) -> "MpMachine":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -25,8 +25,11 @@ class MemoryStats:
 
 
 class Processor:
-    """One simulated node: rank id + named local memories + counters.
+    """One rank: rank id + named local memories + counters.
 
+    This is the rank state of every backend
+    (:data:`repro.machine.iface.RankState`); the multiprocess backend's
+    ``RankHandle`` subclasses it to keep arenas in shared memory.
     A processor can *crash* (see :class:`repro.machine.faults.FaultPlan`
     kill points): it goes dead, its memories are wiped, and a later
     :meth:`restart` brings it back -- still empty -- under a new
@@ -56,6 +59,9 @@ class Processor:
             raise RuntimeError(f"rank {self.rank} is already dead")
         self.alive = False
         self.crashed_at = superstep
+        self._wipe()
+
+    def _wipe(self) -> None:
         self._memories.clear()
 
     def restart(self) -> None:
@@ -81,11 +87,16 @@ class Processor:
         """Allocate (or reallocate) a named local arena of ``size`` cells."""
         if size < 0:
             raise ValueError(f"size must be nonnegative, got {size}")
-        arena = np.full(size, fill, dtype=dtype)
-        self._memories[name] = arena
+        arena = self._memories[name] = self._new_arena(name, size, dtype, fill)
         self.stats.allocations += 1
         self.stats.allocated_cells += size
         return arena
+
+    def _new_arena(self, name: str, size: int, dtype, fill) -> np.ndarray:
+        """Backing storage for one arena (a backend with its own memory,
+        e.g. shared-memory segments, overrides this, :meth:`free`, and
+        :meth:`_wipe`)."""
+        return np.full(size, fill, dtype=dtype)
 
     def memory(self, name: str) -> np.ndarray:
         try:
@@ -117,4 +128,4 @@ class Processor:
         self.memory(name)[addr] = value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Processor(rank={self.rank}, memories={sorted(self._memories)})"
+        return f"{type(self).__name__}(rank={self.rank}, memories={sorted(self._memories)})"

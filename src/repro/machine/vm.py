@@ -18,60 +18,18 @@ all of :mod:`repro.runtime` uses (compute send sets / exchange / apply).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
 from ..obs import Observability
 from .faults import FaultPlan, scribble_arena
+from .iface import Machine, NodeContext
 from .network import Network
 from .processor import Processor
 
 __all__ = ["NodeContext", "VirtualMachine"]
 
 
-@dataclass
-class NodeContext:
-    """Per-rank view handed to node programs.
-
-    Backend-agnostic: it drives its machine purely through the
-    :class:`repro.machine.iface.Machine` surface (machine-level
-    ``send``/``recv``/``probe``/``drain`` and the rank's
-    :class:`~repro.machine.iface.RankState`), so the same node function
-    runs unchanged on the in-process oracle and the multiprocess
-    backend.
-    """
-
-    vm: Any  # any Machine backend
-    rank: int
-
-    @property
-    def p(self) -> int:
-        return self.vm.p
-
-    @property
-    def processor(self):
-        return self.vm.processors[self.rank]
-
-    def memory(self, name: str):
-        return self.processor.memory(name)
-
-    def allocate(self, name: str, size: int, **kw):
-        return self.processor.allocate(name, size, **kw)
-
-    def send(self, dest: int, tag: Any, payload: Any) -> None:
-        self.vm.send(self.rank, dest, tag, payload)
-
-    def recv(self, source: int, tag: Any) -> Any:
-        return self.vm.recv(self.rank, source, tag)
-
-    def probe(self, source: int, tag: Any) -> bool:
-        return self.vm.probe(self.rank, source, tag)
-
-    def drain(self, tag: Any) -> list[tuple[int, Any]]:
-        return self.vm.drain(self.rank, tag)
-
-
-class VirtualMachine:
+class VirtualMachine(Machine):
     """A simulated ``p``-rank distributed-memory machine.
 
     Pass a :class:`~repro.machine.faults.FaultPlan` to make the
@@ -81,7 +39,9 @@ class VirtualMachine:
     :meth:`crash_rank` calls) kill whole ranks at barriers: a dead rank
     skips execution, its in-flight traffic is quarantined, and after its
     downtime it restarts with wiped memory -- state restoration is the
-    job of :mod:`repro.machine.checkpoint`.
+    job of :mod:`repro.machine.checkpoint`.  The superstep loop and the
+    lifecycle bookkeeping live in :class:`~repro.machine.iface.Machine`;
+    this backend supplies the in-process :class:`Network`.
     """
 
     def __init__(
@@ -90,28 +50,18 @@ class VirtualMachine:
         fault_plan: FaultPlan | None = None,
         obs: Observability | None = None,
     ) -> None:
-        if p <= 0:
-            raise ValueError(f"need at least one rank, got p={p}")
-        self.p = p
-        # The machine's observability handle (repro.obs): superstep and
-        # barrier spans, network/fault metrics, and the machine-event
-        # rings all hang off it.  Disabled (free) unless one is passed.
-        self.obs = obs if obs is not None else Observability(enabled=False)
+        super().__init__(p, obs)
         self.processors = [Processor(rank) for rank in range(p)]
         self.network = Network(p, fault_plan=fault_plan, obs=self.obs)
-        self.crash_log: list[tuple[int, int]] = []  # (rank, superstep)
-        self._restart_at: dict[int, int] = {}
-        # Called at every barrier *after* node execution but *before*
-        # fault injection (scribbles, crash points) -- the last instant
-        # at which every arena still holds only legitimate writes.  The
-        # integrity auditor commits its ledger here; the flight recorder
-        # syncs here.  Hooks receive ``(vm, superstep)``.
-        self.barrier_hooks: list[Callable[["VirtualMachine", int], None]] = []
 
     @property
     def superstep(self) -> int:
         """Number of barriers crossed so far (the fault plan's clock)."""
         return self.network.superstep
+
+    @property
+    def fault_plan(self) -> FaultPlan | None:
+        return self.network.fault_plan
 
     @property
     def profile(self):
@@ -125,8 +75,8 @@ class VirtualMachine:
         self.network.profile = collector
 
     # ------------------------------------------------------------------
-    # Machine-level messaging (the Machine protocol surface; the
-    # in-process backend simply delegates to its Network)
+    # Machine-level messaging (the in-process backend simply delegates
+    # to its Network)
     # ------------------------------------------------------------------
 
     def send(self, source: int, dest: int, tag: Any, payload: Any) -> None:
@@ -142,106 +92,28 @@ class VirtualMachine:
         return self.network.drain(dest, tag)
 
     def outstanding(self, tags: Any) -> int:
-        """Pending or delivered-but-unreceived messages with a tag in
-        ``tags`` -- the quiescence check of the resilient protocols."""
         return self.network.outstanding(tags)
 
-    def close(self) -> None:
-        """Release backend resources (nothing to do in-process; the
-        multiprocess backend tears down processes, sockets, and
-        shared-memory segments here)."""
-
-    def __enter__(self) -> "VirtualMachine":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+    def record_fault(
+        self, step: int, kind: str, source: int, dest: int, tag: Any, seq: int
+    ) -> None:
+        self.network.record_fault(step, kind, source, dest, tag, seq)
 
     # ------------------------------------------------------------------
-    # Crash lifecycle
+    # Barrier and lifecycle hooks
     # ------------------------------------------------------------------
 
-    def alive(self, rank: int) -> bool:
-        return self.processors[rank].alive
+    def _deliver(self, step: int) -> None:
+        self.network.deliver()
 
-    @property
-    def dead_ranks(self) -> tuple[int, ...]:
-        return tuple(r for r in range(self.p) if not self.processors[r].alive)
-
-    def crash_rank(self, rank: int, downtime: int | None = None) -> None:
-        """Kill ``rank`` at the current superstep (outside any fault
-        plan): memory wiped, in-flight messages quarantined, automatic
-        restart ``downtime`` supersteps later (default: the plan's
-        ``crash_downtime``, or 1)."""
-        if downtime is None:
-            plan = self.network.fault_plan
-            downtime = plan.crash_downtime if plan is not None else 1
-        if downtime < 1:
-            raise ValueError(f"downtime must be >= 1 superstep, got {downtime}")
-        self._crash(rank, self.network.superstep, downtime)
-
-    def _crash(self, rank: int, step: int, downtime: int) -> None:
-        self.processors[rank].crash(step)
+    def _quarantine(self, rank: int, step: int) -> None:
         self.network.mark_dead(rank, step)
-        self.network.record_fault(step, "crash", rank, -1, None, 0)
-        self.crash_log.append((rank, step))
-        self._restart_at[rank] = step + 1 + downtime
 
-    def _revive_due(self) -> None:
-        """Restart dead ranks whose downtime has elapsed (called before
-        each superstep's execution): alive again, memory still wiped."""
-        step = self.network.superstep
-        for rank, when in list(self._restart_at.items()):
-            if step >= when:
-                proc = self.processors[rank]
-                proc.restart()
-                self.network.mark_alive(rank)
-                self.network.record_fault(
-                    step, "restart", rank, -1, None, proc.incarnation
-                )
-                del self._restart_at[rank]
+    def _respawn(self, rank: int) -> None:
+        self.network.mark_alive(rank)
 
-    def _barrier(self) -> None:
-        """Superstep barrier: run the legitimate-write hooks, fire this
-        step's scribble points (in-arena bit rot) and crash points
-        (quarantining the victims' in-flight sends), then deliver."""
-        step = self.network.superstep
-        with self.obs.span("barrier", step=step):
-            for hook in self.barrier_hooks:
-                hook(self, step)
-            plan = self.network.fault_plan
-            if plan is not None:
-                self._inject_scribbles(plan, step)
-                for rank in range(self.p):
-                    if self.processors[rank].alive and plan.crashed(step, rank):
-                        self._crash(rank, step, plan.crash_downtime)
-            self.network.deliver()
-        self.obs.inc("vm.supersteps")
-
-    def _inject_scribbles(self, plan: FaultPlan, step: int) -> None:
-        """Fire this barrier's ``(superstep, rank, arena)`` scribble
-        points: flip bits inside live arenas, in place.  Runs *after*
-        the barrier hooks, so an attached auditor's ledger reflects the
-        pre-rot state -- that ordering is what makes the corruption
-        detectable at all."""
-        if plan.scribble <= 0.0 and not plan.forced_scribbles:
-            return
-        for rank in range(self.p):
-            proc = self.processors[rank]
-            if not proc.alive:
-                continue  # nothing to rot: a dead rank's memory is gone
-            for name, arena in proc.arenas():
-                if not plan.scribbled(step, rank, name):
-                    continue
-                salt = plan.scribble_salt(step, rank, name)
-                touched = scribble_arena(arena, salt, plan.scribble_width)
-                if not touched:
-                    continue
-                proc.stats.scribbles += 1
-                self.network.record_fault(
-                    step, "scribble", rank, -1, name, touched[0]
-                )
+    def _scribble(self, rank: int, name: str, salt: int, width: int) -> list[int]:
+        return scribble_arena(self.processors[rank].memory(name), salt, width)
 
     # ------------------------------------------------------------------
     # Elastic membership
@@ -276,73 +148,6 @@ class VirtualMachine:
         self.p = new_p
         self.obs.inc("elastic.retire")
         self.network.record_fault(step, "retire", -1, -1, None, new_p)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def run(self, fn: Callable[..., Any], *args: Any) -> list[Any]:
-        """Run one superstep: ``fn(ctx, *args)`` on every live rank, then
-        a barrier.  Dead ranks skip execution and yield ``None``."""
-        obs = self.obs
-        step = self.network.superstep
-        with obs.span("superstep", step=step):
-            self._revive_due()
-            results = []
-            for rank in range(self.p):
-                if not self.processors[rank].alive:
-                    results.append(None)
-                    continue
-                with obs.span("node", rank=rank, step=step):
-                    results.append(fn(NodeContext(self, rank), *args))
-            self._barrier()
-        return results
-
-    def bsp(self, *phases: Callable[..., Any]) -> list[list[Any]]:
-        """Run a sequence of supersteps.  Messages sent during phase ``t``
-        are receivable during phase ``t + 1``.  Returns per-phase,
-        per-rank results."""
-        if not phases:
-            raise ValueError("need at least one phase")
-        return [self.run(phase) for phase in phases]
-
-    def run_spmd(
-        self, fn: Callable[..., Any], per_rank_args: Sequence[tuple] | None = None
-    ) -> list[Any]:
-        """Superstep with per-rank argument tuples."""
-        if per_rank_args is not None and len(per_rank_args) != self.p:
-            raise ValueError(
-                f"need {self.p} argument tuples, got {len(per_rank_args)}"
-            )
-        obs = self.obs
-        step = self.network.superstep
-        with obs.span("superstep", step=step):
-            self._revive_due()
-            results = []
-            for rank in range(self.p):
-                if not self.processors[rank].alive:
-                    results.append(None)
-                    continue
-                args = per_rank_args[rank] if per_rank_args is not None else ()
-                with obs.span("node", rank=rank, step=step):
-                    results.append(fn(NodeContext(self, rank), *args))
-            self._barrier()
-        return results
-
-    # ------------------------------------------------------------------
-    # Whole-machine conveniences
-    # ------------------------------------------------------------------
-
-    def allocate_all(self, name: str, sizes: Iterable[int], **kw) -> None:
-        """Allocate a named arena on every rank (``sizes`` per rank)."""
-        sizes = list(sizes)
-        if len(sizes) != self.p:
-            raise ValueError(f"need {self.p} sizes, got {len(sizes)}")
-        for proc, size in zip(self.processors, sizes):
-            proc.allocate(name, size, **kw)
-
-    def memories(self, name: str) -> list:
-        return [proc.memory(name) for proc in self.processors]
 
     def reset_stats(self) -> None:
         from .network import NetworkStats

@@ -159,6 +159,11 @@ class Packet:
     def nbytes(self) -> int:
         return int(self.payload.nbytes) + _HEADER_BYTES
 
+    @classmethod
+    def seal(cls, tid: int, seq: int, payload: np.ndarray) -> "Packet":
+        """Transmission ``seq`` of transfer ``tid``, checksummed."""
+        return cls(tid, seq, _packet_checksum(tid, seq, payload), payload)
+
     def valid(self) -> bool:
         try:
             return self.checksum == _packet_checksum(self.tid, self.seq, self.payload)
@@ -328,19 +333,18 @@ def execute_copy_resilient(
             attached_auditor = True
         if schedule is None:
             schedule = cached_comm_schedule(a, sec_a, b, sec_b)
+        payload_bytes = sum(8 * len(tr) + _HEADER_BYTES for tr in schedule.transfers)
         with vm.obs.span(
             "exchange",
             array=a.name,
             transfers=len(schedule.transfers),
             elements=schedule.communicated_elements,
-            payload_bytes=sum(
-                 8 * len(tr) + _HEADER_BYTES for tr in schedule.transfers
-            ),
+            payload_bytes=payload_bytes,
         ):
-            return _execute_copy_resilient(
-                vm, a, sec_a, b, sec_b, schedule, policy, checkpoints,
-                auditor, recorder,
+            exchange = _Exchange(
+                vm, a, b, schedule, policy, checkpoints, auditor, recorder
             )
+            return exchange.run(payload_bytes)
     except ExchangeFailure as exc:
         if recorder is not None:
             try:
@@ -366,78 +370,387 @@ def execute_copy_resilient(
             recorder.detach()
 
 
-def _execute_copy_resilient(
-    vm: Machine,
-    a: DistributedArray,
-    sec_a: RegularSection,
-    b: DistributedArray,
-    sec_b: RegularSection,
-    schedule: CommSchedule | None,
-    policy: RetryPolicy | None,
-    checkpoints: CheckpointStore | None,
-    auditor: IntegrityAuditor | None,
-    recorder: FlightRecorder | None,
-) -> ResilienceReport:
-    _check_vm(vm, a)
-    _check_vm(vm, b)
-    if policy is None:
-        policy = RetryPolicy()
-    if schedule is None:
-        schedule = cached_comm_schedule(a, sec_a, b, sec_b)
-    if vm.dead_ranks:
-        raise ValueError(
-            f"ranks {list(vm.dead_ranks)} are dead; an exchange must start "
-            "on an all-alive machine"
+class _Exchange:
+    """One resilient exchange: the protocol state as fields, the phases
+    as methods (docs/FAULT_MODEL.md §4.3), and :meth:`run` as the one
+    loop that drives them -- pack, protocol rounds, audit-and-repair,
+    rewind, cleanup rounds, verify.
+
+    Host-side protocol state is partitioned per rank (each node function
+    only touches its own rank's slice -- the SPMD discipline).  The
+    outbox and the staged-locals list double as the senders' stable
+    pack-time log: like the checkpoint store they live host-side and
+    survive rank crashes, which is what makes replay possible.
+    """
+
+    def __init__(
+        self,
+        vm: Machine,
+        a: DistributedArray,
+        b: DistributedArray,
+        schedule: CommSchedule,
+        policy: RetryPolicy | None,
+        checkpoints: CheckpointStore | None,
+        auditor: IntegrityAuditor | None,
+        recorder: FlightRecorder | None,
+    ) -> None:
+        _check_vm(vm, a)
+        _check_vm(vm, b)
+        if vm.dead_ranks:
+            raise ValueError(
+                f"ranks {list(vm.dead_ranks)} are dead; an exchange must start "
+                "on an all-alive machine"
+            )
+        self.vm, self.a, self.b, self.schedule = vm, a, b, schedule
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.checkpoints, self.auditor, self.recorder = checkpoints, auditor, recorder
+        self.obs = vm.obs
+        xid = next(_EXCHANGE_IDS)
+        self.all_tags = tuple((kind, xid) for kind in ("rxd", "rxa", "rxn", "rxh"))
+        self.data_tag, self.ack_tag, self.nack_tag, self.hb_tag = self.all_tags
+        self.core_tags = self.all_tags[:3]  # hopelessness ignores heartbeats
+
+        self.transfers = transfers = schedule.transfers
+        self.report = ResilienceReport(
+            transfers=len(transfers),
+            local_transfers=len(schedule.locals_),
+            schedule=schedule,
+        )
+        self.outbox: list[dict[int, _Outbound]] = [dict() for _ in range(vm.p)]
+        self.expected: list[dict[int, Transfer]] = [dict() for _ in range(vm.p)]
+        self.applied: list[set[int]] = [set() for _ in range(vm.p)]
+        self.staged_locals: list[list[tuple[Transfer, np.ndarray]]] = [[] for _ in range(vm.p)]
+        for tid, tr in enumerate(transfers):
+            self.expected[tr.dest][tid] = tr
+        self.locals_applied = False
+
+        # Crash bookkeeping.  ``integrated`` is the incarnation whose
+        # state this exchange has restored (0 = the original boot); a
+        # live rank with a higher incarnation has rebooted and must
+        # restore from checkpoint before it may participate again.
+        # ``last_heard`` drives the failure detector: the latest round
+        # at which *anyone* received traffic (data, control, or
+        # heartbeat) from each rank.
+        self.participants = sorted(
+            {tr.source for tr in transfers} | {tr.dest for tr in transfers}
+        )
+        self.peers = {
+            r: [q for q in self.participants if q != r] for r in self.participants
+        }
+        self.integrated = [vm.processors[r].incarnation for r in range(vm.p)]
+        self.last_heard = [0] * vm.p
+        self.crashes_seen = len(vm.crash_log)
+        self.round_no = 0
+        self.rounds_since_ckpt = 0
+        # Destination-slot provenance for repair step 1, built lazily.
+        self._slot_sources: list[dict[int, tuple[str, int, int]] | None] = [None] * vm.p
+
+    def _count(self, field: str, n: int = 1, counter: str | None = None) -> None:
+        """Bump a report field and its ``resilient.*`` counter together."""
+        setattr(self.report, field, getattr(self.report, field) + n)
+        self.obs.inc(f"resilient.{counter or field}", n)
+
+    # ------------------------------------------------------------------
+    # The driving loop
+    # ------------------------------------------------------------------
+
+    def run(self, payload_bytes: int) -> ResilienceReport:
+        """Pack, then protocol rounds until every expected transfer is
+        applied on an all-alive, fully-restored machine, then cleanup
+        rounds until the exchange's channels drain, then verify.  A
+        crash mid-exchange keeps protocol rounds running: survivors
+        park, the victim's downtime elapses, and :meth:`recover_rank`
+        rewinds it.  A crash during cleanup reopens the exchange the
+        same way, since the rewind resets the victim's applied set."""
+        report, vm = self.report, self.vm
+        if self.checkpoints is not None:
+            # Baseline checkpoint: taken *before* pack so even a crash at
+            # the very first barrier has somewhere to rewind to.
+            self.take_checkpoint()
+        with self.obs.span(
+            "pack_phase",
+            array=self.a.name,
+            transfers=len(self.transfers),
+            elements=sum(len(tr) for tr in self.transfers),
+            payload_bytes=payload_bytes,
+        ):
+            vm.run(self.pack)
+        report.supersteps += 1
+        self.locals_applied = True
+        self.settle(0)
+        while True:
+            if not (self.data_converged() and self.healthy()):
+                self.protocol_round()
+                continue
+            report.converged = True
+            if not (
+                vm.outstanding(self.all_tags)
+                and report.supersteps < self.policy.max_supersteps
+            ):
+                break
+            with self.obs.span("cleanup_round"):
+                vm.run(self.cleanup)
+            report.supersteps += 1
+            self.settle(self.round_no)
+        self.verify()
+        report.verified = True
+        return report
+
+    def settle(self, round_no: int) -> None:
+        """After every superstep: account new crashes, rewind rebooted
+        ranks, and audit (verified mode)."""
+        self.observe_crashes()
+        self.integrate_reboots(round_no)
+        self.audit_and_repair(round_no)
+
+    def protocol_round(self) -> None:
+        report, policy, vm = self.report, self.policy, self.vm
+        if report.supersteps >= policy.max_supersteps:
+            raise ExchangeFailure(
+                f"exchange did not converge within {policy.max_supersteps} "
+                f"supersteps ({self.missing_summary()})",
+                report,
+            )
+        suspects = self.suspects_now(self.round_no + 1)
+        if (
+            self.healthy()
+            and not suspects
+            and self.all_exhausted()
+            and not vm.outstanding(self.core_tags)
+        ):
+            raise ExchangeFailure(
+                "retries exhausted with transfers still undelivered "
+                f"({self.missing_summary()})",
+                report,
+            )
+        self.round_no += 1
+        round_no = self.round_no
+        if suspects:
+            report.parked_rounds += 1
+        with self.obs.span("protocol_round", round=round_no, suspects=len(suspects)):
+            vm.run(self.round_step, round_no, suspects)
+        report.supersteps += 1
+        self.settle(round_no)
+        self.rounds_since_ckpt += 1
+        if (
+            self.checkpoints is not None
+            and self.healthy()
+            and self.checkpoints.policy.due(self.rounds_since_ckpt)
+        ):
+            self.take_checkpoint()
+            self.rounds_since_ckpt = 0
+
+    def data_converged(self) -> bool:
+        return all(
+            set(self.expected[rank]) <= self.applied[rank]
+            for rank in range(self.vm.p)
         )
 
-    obs = vm.obs
-    xid = next(_EXCHANGE_IDS)
-    data_tag = ("rxd", xid)
-    ack_tag = ("rxa", xid)
-    nack_tag = ("rxn", xid)
-    hb_tag = ("rxh", xid)
-    all_tags = (data_tag, ack_tag, nack_tag, hb_tag)
-    core_tags = (data_tag, ack_tag, nack_tag)  # hopelessness ignores heartbeats
+    def healthy(self) -> bool:
+        return all(
+            proc.alive and proc.incarnation == self.integrated[proc.rank]
+            for proc in self.vm.processors
+        )
 
-    transfers = schedule.transfers
-    report = ResilienceReport(
-        transfers=len(transfers),
-        local_transfers=len(schedule.locals_),
-        schedule=schedule,
-    )
+    def suspects_now(self, round_no: int) -> frozenset[int]:
+        return frozenset(
+            r for r in self.participants
+            if round_no - self.last_heard[r] > self.policy.suspect_after
+        )
 
-    # Host-side protocol state, partitioned per rank (each node function
-    # only touches its own rank's slice -- the SPMD discipline).
-    outbox: list[dict[int, _Outbound]] = [dict() for _ in range(vm.p)]
-    expected: list[dict[int, Transfer]] = [dict() for _ in range(vm.p)]
-    applied: list[set[int]] = [set() for _ in range(vm.p)]
-    staged_locals: list[list[tuple[Transfer, np.ndarray]]] = [
-        [] for _ in range(vm.p)
-    ]
-    for tid, tr in enumerate(transfers):
-        expected[tr.dest][tid] = tr
+    def all_exhausted(self) -> bool:
+        """True when every still-missing transfer's sender has given up."""
+        for rank in range(self.vm.p):
+            for tid in set(self.expected[rank]) - self.applied[rank]:
+                ob = self.outbox[self.expected[rank][tid].source].get(tid)
+                if ob is not None and not ob.exhausted:
+                    return False
+        return True
 
-    # Crash bookkeeping.  ``integrated`` is the incarnation whose state
-    # this exchange has restored (0 = the original boot); a live rank
-    # with a higher incarnation has rebooted and must restore from
-    # checkpoint before it may participate again.  ``last_heard`` drives
-    # the failure detector: the latest round at which *anyone* received
-    # traffic (data, control, or heartbeat) from each rank.
-    participants = sorted(
-        {tr.source for tr in transfers} | {tr.dest for tr in transfers}
-    )
-    peers = {r: [q for q in participants if q != r] for r in participants}
-    integrated = [vm.processors[r].incarnation for r in range(vm.p)]
-    last_heard = [0] * vm.p
-    crashes_seen = len(vm.crash_log)
+    def missing_summary(self) -> str:
+        missing = {
+            rank: sorted(set(self.expected[rank]) - self.applied[rank])
+            for rank in range(self.vm.p)
+            if set(self.expected[rank]) - self.applied[rank]
+        }
+        return f"missing transfers by rank: {missing}"
 
-    def observe_crashes() -> None:
-        nonlocal crashes_seen
-        new = vm.crash_log[crashes_seen:]
-        crashes_seen = len(vm.crash_log)
+    # ------------------------------------------------------------------
+    # Pack: everything is read (remote payloads staged in the outbox,
+    # local payloads staged) before any element is written, and
+    # retransmissions reuse the staged copies -- so aliased self-copies
+    # stay correct no matter how often packets are resent.
+    # ------------------------------------------------------------------
+
+    def pack(self, ctx) -> None:
+        # Ranks beyond the RHS grid (elastic machines run with
+        # vm.p >= grid.size) hold no source shard: nothing to pack.
+        if ctx.rank >= self.b.grid.size:
+            return
+        src_mem = ctx.memory(self.b.name)
+        # Packing runs through the native/NumPy dispatch seam
+        # (repro.runtime.native, global mode): the hot gather loops are
+        # compiled when available, bit-identical either way.
+        kernels = kernels_for(None)
+        outbox = self.outbox[ctx.rank]
+        for tid, tr in enumerate(self.transfers):
+            if tr.source != ctx.rank:
+                continue
+            payload = gather_slots(src_mem, tr.src_slots, kernels)
+            outbox[tid] = _Outbound(tr, payload)
+            ctx.send(tr.dest, self.data_tag, Packet.seal(tid, 0, payload))
+        staged = [
+            (tr, gather_slots(src_mem, tr.src_slots, kernels))
+            for tr in self.schedule.locals_
+            if tr.source == ctx.rank
+        ]
+        self.staged_locals[ctx.rank] = staged
+        if staged:
+            dst_mem = ctx.memory(self.a.name)
+            for tr, values in staged:
+                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
+                if self.auditor is not None:
+                    self.auditor.note_write(ctx.rank, self.a.name, tr.dst_slots)
+
+    # ------------------------------------------------------------------
+    # Protocol round: receive/apply/ACK + retransmit, one superstep
+    # each.  Every live participant also beacons a heartbeat to its
+    # peers; a peer silent for ``suspect_after`` rounds is presumed
+    # crashed and retransmissions toward it park until it is heard from
+    # again.
+    # ------------------------------------------------------------------
+
+    def round_step(self, ctx, round_no: int, suspects: frozenset[int]) -> None:
+        rank = ctx.rank
+        proc = self.vm.processors[rank]
+        if proc.incarnation > self.integrated[rank]:
+            # Freshly rebooted, not yet restored from checkpoint:
+            # announce liveness (the new incarnation) and do nothing
+            # else -- local memory is still wiped.
+            for q in self.peers.get(rank, ()):
+                ctx.send(q, self.hb_tag, _hb(rank, proc.incarnation))
+            return
+        last_heard = self.last_heard
+        outbox = self.outbox[rank]
+        expected = self.expected[rank]
+        applied = self.applied[rank]
+        # Liveness: fold heartbeats into the shared failure detector.
+        for source, payload in ctx.drain(self.hb_tag):
+            if _valid_control(payload, "hb"):
+                last_heard[source] = max(last_heard[source], round_no)
+        # Sender role: fold in ACK/NACK traffic (checksummed; a
+        # corrupted control message is discarded, the timeout covers).
+        for source, payload in ctx.drain(self.ack_tag):
+            if _valid_control(payload, "ack"):
+                last_heard[source] = max(last_heard[source], round_no)
+                for tid in payload[1]:
+                    ob = outbox.get(tid)
+                    if ob is not None:
+                        ob.acked = True
+        for source, payload in ctx.drain(self.nack_tag):
+            if _valid_control(payload, "nack"):
+                last_heard[source] = max(last_heard[source], round_no)
+                ob = outbox.get(payload[1])
+                if ob is not None and not ob.acked:
+                    ob.nacked = True
+
+        # Receiver role: validate, apply idempotently, NACK corruption.
+        dst_mem = ctx.memory(self.a.name) if expected else None
+        for source, payload in ctx.drain(self.data_tag):
+            last_heard[source] = max(last_heard[source], round_no)
+            if not isinstance(payload, Packet) or not payload.valid():
+                self._count("detected_corruptions")
+                tid = getattr(payload, "tid", None)
+                if isinstance(tid, int) and tid in expected:
+                    ctx.send(source, self.nack_tag, _nack(tid))
+                    self._count("nacks_sent")
+                continue
+            tr = expected.get(payload.tid)
+            if tr is None or tr.source != source:
+                # A checksum-consistent packet for a transfer this rank
+                # does not expect -- only reachable through tag/routing
+                # corruption; drop it.
+                self._count("detected_corruptions")
+                continue
+            if payload.tid in applied:
+                self._count("duplicates_ignored")
+                continue
+            dst_mem[as_index(tr.dst_slots)] = payload.payload
+            applied.add(payload.tid)
+            if self.auditor is not None:
+                self.auditor.note_write(rank, self.a.name, tr.dst_slots)
+
+        # Receiver role: cumulative ACKs, re-sent every round so a
+        # dropped ACK is repaired by the next one.
+        by_source: dict[int, list[int]] = {}
+        for tid in applied:
+            by_source.setdefault(expected[tid].source, []).append(tid)
+        for source, tids in by_source.items():
+            ctx.send(source, self.ack_tag, _ack(tuple(sorted(tids))))
+
+        # Sender role: retransmit overdue or NACKed transfers -- except
+        # toward suspected-dead peers, where retransmissions park so an
+        # outage cannot exhaust the retry budget.
+        policy = self.policy
+        for tid, ob in outbox.items():
+            if ob.acked or ob.exhausted:
+                continue
+            if ob.transfer.dest in suspects:
+                continue
+            if not ob.nacked and round_no - ob.last_sent < policy.timeout:
+                continue
+            if ob.sends > policy.max_retries:
+                ob.exhausted = True
+                continue
+            seq = ob.sends
+            ctx.send(ob.transfer.dest, self.data_tag, Packet.seal(tid, seq, ob.payload))
+            ob.sends += 1
+            ob.last_sent = round_no
+            ob.nacked = False
+            self._count("retries")
+            self.report.retransmitted_bytes += int(ob.payload.nbytes) + _HEADER_BYTES
+            # Emitted at the same code point as report.retries so the
+            # Chrome-trace instant count always equals the report.
+            self.obs.instant(
+                "retransmit", rank=rank, tid=tid, dest=ob.transfer.dest, seq=seq
+            )
+
+        # Liveness beacon to every peer (cheap, checksummed).
+        for q in self.peers.get(rank, ()):
+            ctx.send(q, self.hb_tag, _hb(rank, proc.incarnation))
+
+    # ------------------------------------------------------------------
+    # Cleanup: drain in-flight leftovers (late duplicates, final ACKs,
+    # stalled stragglers, heartbeats) so the exchange leaves the network
+    # idle.  The tags are exchange-unique, so even a straggler the fault
+    # plan pins past the budget cannot interfere with later exchanges.
+    # ------------------------------------------------------------------
+
+    def cleanup(self, ctx) -> None:
+        for _source, payload in ctx.drain(self.data_tag):
+            # Validate even the leftovers we discard: a packet the fault
+            # plan corrupted in its final flight is a *detected*
+            # corruption, not a duplicate -- the sensitivity sweep
+            # asserts every injected wire fault is accounted for.
+            if isinstance(payload, Packet) and payload.valid():
+                self._count("duplicates_ignored")
+            else:
+                self._count("detected_corruptions")
+        ctx.drain(self.ack_tag)
+        ctx.drain(self.nack_tag)
+        ctx.drain(self.hb_tag)
+
+    # ------------------------------------------------------------------
+    # Crashes, checkpoints, and the one rewind path
+    # ------------------------------------------------------------------
+
+    def observe_crashes(self) -> None:
+        vm, report = self.vm, self.report
+        new = vm.crash_log[self.crashes_seen:]
+        self.crashes_seen = len(vm.crash_log)
         for rank, step in new:
             report.crashes.append((rank, step))
-            if checkpoints is None:
+            if self.checkpoints is None:
                 report.unrecoverable = (rank, step)
                 raise ExchangeFailure(
                     f"rank {rank} crashed at superstep {step} and "
@@ -446,30 +759,77 @@ def _execute_copy_resilient(
                     report,
                 )
 
-    def take_checkpoint() -> None:
-        with obs.span("checkpoint", step=vm.superstep):
-            ckpt = checkpoints.save(
+    def take_checkpoint(self) -> None:
+        vm = self.vm
+        with self.obs.span("checkpoint", step=vm.superstep):
+            ckpt = self.checkpoints.save(
                 vm,
                 states={
                     r: {
-                        "applied": frozenset(applied[r]),
-                        "locals_applied": locals_applied,
+                        "applied": frozenset(self.applied[r]),
+                        "locals_applied": self.locals_applied,
                     }
                     for r in range(vm.p)
                 },
             )
-        report.checkpoints_taken += 1
-        report.checkpoint_bytes += ckpt.nbytes
-        obs.inc("resilient.checkpoints")
-        obs.inc("resilient.checkpoint_bytes", ckpt.nbytes)
+        self._count("checkpoints_taken", counter="checkpoints")
+        self._count("checkpoint_bytes", ckpt.nbytes)
 
-    def recover_rank(rank: int, round_no: int) -> None:
-        """Restore a rebooted rank from its last checkpoint and arrange
-        replay of every transfer its wiped memory lost."""
-        proc = vm.processors[rank]
-        crash_step = proc.crashed_at if proc.crashed_at is not None else -1
+    def rewind(self, rank: int, round_no: int):
+        """Rewind ``rank`` to its newest checkpoint -- the one path crash
+        recovery and audit escalation share.  Restores the rank's arenas
+        and applied set, replays its staged locals when the checkpoint
+        predates the pack superstep, recaptures the auditor ledger, and
+        reopens every transfer the rewind lost.  Returns ``(checkpoint,
+        reopened)``, or ``None`` when no retained checkpoint covers the
+        rank."""
+        checkpoints = self.checkpoints
         entry = checkpoints.latest_for(rank) if checkpoints is not None else None
         if entry is None:
+            return None
+        ckpt, _ = entry
+        proc = self.vm.processors[rank]
+        state = checkpoints.restore_rank(self.vm, rank, ckpt) or {}
+        applied = self.applied[rank] = set(state.get("applied", ()))
+        if not state.get("locals_applied", False) and self.staged_locals[rank]:
+            dst_mem = proc.memory(self.a.name)
+            for tr, values in self.staged_locals[rank]:
+                dst_mem[as_index(tr.dst_slots)] = values
+        if self.auditor is not None:
+            # The restored arenas (checksum-verified) plus the replayed
+            # locals are the rank's new ledger truth.
+            self.auditor.capture_rank(proc)
+        reopened = 0
+        for tid, tr in self.expected[rank].items():
+            if tid in applied:
+                continue
+            ob = self.outbox[tr.source].get(tid)
+            if ob is None:
+                continue
+            # Fresh delivery attempt: the sends burned before the rewind
+            # do not count toward the retry budget.
+            ob.acked = ob.nacked = ob.exhausted = False
+            ob.sends = 1
+            ob.last_sent = round_no - self.policy.timeout  # due next round
+            reopened += 1
+        self.report.replayed_transfers += reopened
+        self.obs.inc("resilient.restores")
+        return ckpt, reopened
+
+    def integrate_reboots(self, round_no: int) -> None:
+        for rank in range(self.vm.p):
+            proc = self.vm.processors[rank]
+            if proc.alive and proc.incarnation > self.integrated[rank]:
+                self.recover_rank(rank, round_no)
+
+    def recover_rank(self, rank: int, round_no: int) -> None:
+        """Restore a rebooted rank from its last checkpoint and arrange
+        replay of every transfer its wiped memory lost."""
+        checkpoints, report = self.checkpoints, self.report
+        proc = self.vm.processors[rank]
+        crash_step = proc.crashed_at if proc.crashed_at is not None else -1
+        rewound = self.rewind(rank, round_no)
+        if rewound is None:
             report.unrecoverable = (rank, crash_step)
             # Name the retention window so degraded-mode membership
             # decisions (runtime/elastic.py) are diagnosable from the
@@ -496,61 +856,22 @@ def _execute_copy_resilient(
                 "exchange unrecoverable",
                 report,
             )
-        ckpt, _ = entry
-        state = checkpoints.restore_rank(vm, rank, ckpt) or {}
-        applied[rank] = set(state.get("applied", ()))
-        if not state.get("locals_applied", False) and staged_locals[rank]:
-            # The checkpoint predates the pack superstep: replay the
-            # rank's local copies from the host-side pack log.
-            dst_mem = proc.memory(a.name)
-            for tr, values in staged_locals[rank]:
-                dst_mem[as_index(tr.dst_slots)] = values
-        if auditor is not None:
-            # The restored arenas (checksum-verified) plus the replayed
-            # locals are the rank's new ledger truth.
-            auditor.capture_rank(proc)
-        if recorder is not None:
-            recorder.record(
-                rank, vm.superstep, "restore",
+        ckpt, replayed = rewound
+        if self.recorder is not None:
+            self.recorder.record(
+                rank, self.vm.superstep, "restore",
                 f"crash at superstep {crash_step}, rewound to "
                 f"checkpoint superstep {ckpt.superstep}",
             )
-        obs.instant(
+        self.obs.instant(
             "restore", rank=rank, crash_superstep=crash_step,
             checkpoint_superstep=ckpt.superstep,
         )
-        obs.inc("resilient.restores")
-        replayed = 0
-        for tid, tr in expected[rank].items():
-            if tid in applied[rank]:
-                continue
-            ob = outbox[tr.source].get(tid)
-            if ob is None:
-                continue
-            # Fresh delivery attempt: the sends burned against a dead
-            # NIC do not count toward the retry budget.
-            ob.acked = ob.nacked = ob.exhausted = False
-            ob.sends = 1
-            ob.last_sent = round_no - policy.timeout  # due next round
-            replayed += 1
-        report.replayed_transfers += replayed
         report.recoveries.append(
             RecoveryEvent(rank, crash_step, ckpt.superstep, replayed, round_no)
         )
-        last_heard[rank] = round_no  # a fresh reboot is not a suspect
-        integrated[rank] = proc.incarnation
-
-    def integrate_reboots(round_no: int) -> None:
-        for rank in range(vm.p):
-            proc = vm.processors[rank]
-            if proc.alive and proc.incarnation > integrated[rank]:
-                recover_rank(rank, round_no)
-
-    def healthy() -> bool:
-        return all(
-            proc.alive and proc.incarnation == integrated[proc.rank]
-            for proc in vm.processors
-        )
+        self.last_heard[rank] = round_no  # a fresh reboot is not a suspect
+        self.integrated[rank] = proc.incarnation
 
     # ------------------------------------------------------------------
     # Verified mode: audit-and-repair ladder (docs/FAULT_MODEL.md §5).
@@ -562,148 +883,28 @@ def _execute_copy_resilient(
     # repair reproduced the trusted bytes, escalating when it did not.
     # ------------------------------------------------------------------
 
-    # Destination-slot provenance for repair step 1: which transfer or
-    # staged local copy legitimately wrote each A slot on each rank.
-    _slot_sources: list[dict[int, tuple[str, int, int]] | None] = [None] * vm.p
-
-    def slot_sources(rank: int) -> dict[int, tuple[str, int, int]]:
-        cached = _slot_sources[rank]
-        if cached is None:
-            cached = {}
-            for tid, tr in expected[rank].items():
-                for pos, slot in enumerate(tr.dst_slots):
-                    cached[int(slot)] = ("transfer", tid, pos)
-            for li, (tr, _values) in enumerate(staged_locals[rank]):
-                for pos, slot in enumerate(tr.dst_slots):
-                    cached[int(slot)] = ("local", li, pos)
-            _slot_sources[rank] = cached
-        return cached
-
-    def repair_divergence(div) -> bool:
-        """Ladder steps 1-2: rewrite slots covered by an applied
-        transfer or staged local from the pack-time payload log, patch
-        the rest from the newest covering checkpoint.  Returns ``False``
-        when neither source covers the damage (caller escalates)."""
-        if not div.localized:
-            return False
-        arena = vm.processors[div.rank].memory(div.arena)
-        sources = slot_sources(div.rank) if div.arena == a.name else {}
-        leftover: list[int] = []
-        for slot in div.slots:
-            value = None
-            src = sources.get(slot)
-            if src is not None:
-                kind, i, pos = src
-                if kind == "transfer" and i in applied[div.rank]:
-                    ob = outbox[expected[div.rank][i].source].get(i)
-                    if ob is not None:
-                        value = ob.payload[pos]
-                elif kind == "local" and locals_applied:
-                    value = staged_locals[div.rank][i][1][pos]
-            if value is not None:
-                arena[slot] = value
-                report.repaired_from_retransmit += 1
-            else:
-                leftover.append(slot)
-        if leftover:
-            entry = (
-                checkpoints.latest_for(div.rank)
-                if checkpoints is not None else None
-            )
-            values = entry[1].arena_values(div.arena) if entry else None
-            if values is None or values.size != arena.size:
-                return False
-            idx = np.asarray(leftover, dtype=np.int64)
-            arena[idx] = values[idx].astype(arena.dtype, copy=False)
-            report.repaired_from_checkpoint += len(leftover)
-        report.chunks_repaired += 1
-        obs.instant(
-            "repair", rank=div.rank, arena=div.arena, chunk=div.chunk,
-            from_checkpoint=len(leftover),
-        )
-        obs.inc("resilient.chunks_repaired")
-        if recorder is not None:
-            recorder.record(
-                div.rank, vm.superstep, "repair",
-                f"arena={div.arena} chunk={div.chunk} "
-                f"slots={list(div.slots)} from_checkpoint={len(leftover)}",
-            )
-        return True
-
-    def full_restore(div, round_no: int) -> None:
-        """Ladder step 3: localization (or in-place repair) failed --
-        rewind the whole rank to its newest checkpoint, exactly like a
-        crash recovery, and reopen the transfers the rewind lost."""
-        entry = (
-            checkpoints.latest_for(div.rank)
-            if checkpoints is not None else None
-        )
-        if entry is None:
-            report.unrecoverable_chunk = (div.rank, div.arena, div.chunk)
-            raise ExchangeFailure(
-                f"rank {div.rank} arena {div.arena!r} chunk {div.chunk} "
-                "diverged and cannot be repaired (no retransmit coverage, "
-                "no retained checkpoint) -- corruption detected but "
-                "unrecoverable",
-                report,
-            )
-        ckpt, _ = entry
-        proc = vm.processors[div.rank]
-        state = checkpoints.restore_rank(vm, div.rank, ckpt) or {}
-        applied[div.rank] = set(state.get("applied", ()))
-        if not state.get("locals_applied", False) and staged_locals[div.rank]:
-            dst_mem = proc.memory(a.name)
-            for tr, values in staged_locals[div.rank]:
-                dst_mem[as_index(tr.dst_slots)] = values
-        reopened = 0
-        for tid, tr in expected[div.rank].items():
-            if tid in applied[div.rank]:
-                continue
-            ob = outbox[tr.source].get(tid)
-            if ob is None:
-                continue
-            ob.acked = ob.nacked = ob.exhausted = False
-            ob.sends = 1
-            ob.last_sent = round_no - policy.timeout  # due next round
-            reopened += 1
-        report.replayed_transfers += reopened
-        report.audit_escalations += 1
-        obs.instant(
-            "restore", rank=div.rank, arena=div.arena, chunk=div.chunk,
-            checkpoint_superstep=ckpt.superstep, escalation=True,
-        )
-        obs.inc("resilient.restores")
-        auditor.capture_rank(proc)
-        if recorder is not None:
-            recorder.record(
-                div.rank, vm.superstep, "restore",
-                f"audit escalation: arena={div.arena} chunk={div.chunk}, "
-                f"rewound to checkpoint superstep {ckpt.superstep}, "
-                f"{reopened} transfer(s) reopened",
-            )
-
-    def audit_and_repair(round_no: int) -> None:
+    def audit_and_repair(self, round_no: int) -> None:
         """Audit every ledgered arena and heal any divergence via the
         ladder; returns with the machine audit-clean or raises
         :class:`ExchangeFailure` naming the unrecoverable chunk."""
+        auditor, report, vm = self.auditor, self.report, self.vm
         if auditor is None:
             return
         try:
-            with obs.span("audit", round=round_no):
+            with self.obs.span("audit", round=round_no):
                 divs = auditor.audit(vm)
-            obs.inc("resilient.audits")
+            self.obs.inc("resilient.audits")
             if not divs:
                 return
-            report.scribbles_detected += len(divs)
-            obs.inc("resilient.scribbles_detected", len(divs))
-            if recorder is not None:
+            self._count("scribbles_detected", len(divs))
+            if self.recorder is not None:
                 for div in divs:
-                    recorder.record(
+                    self.recorder.record(
                         div.rank, vm.superstep, "audit",
                         f"diverged arena={div.arena} chunk={div.chunk} "
                         f"slots={list(div.slots)}",
                     )
-            unrepaired = [d for d in divs if not repair_divergence(d)]
+            unrepaired = [d for d in divs if not self.repair_divergence(d)]
             # Re-audit: a repair that did not reproduce the trusted
             # bytes (e.g. a stale checkpoint) is treated as a failed
             # localization and escalated, never trusted.
@@ -711,9 +912,7 @@ def _execute_copy_resilient(
             if not residual:
                 return
             for rank in sorted({d.rank for d in residual}):
-                full_restore(
-                    next(d for d in residual if d.rank == rank), round_no
-                )
+                self.escalate(next(d for d in residual if d.rank == rank), round_no)
             still = auditor.audit(vm)
             if still:
                 d = still[0]
@@ -728,327 +927,130 @@ def _execute_copy_resilient(
             report.audits = auditor.stats.audits
             report.audit_chunks_checked = auditor.stats.chunks_checked
 
-    # ------------------------------------------------------------------
-    # Superstep 1: pack.  Everything is read (remote payloads staged in
-    # the outbox, local payloads staged) before any element is written,
-    # and retransmissions reuse the staged copies -- so aliased
-    # self-copies stay correct no matter how often packets are resent.
-    # The outbox and the staged-locals list double as the senders'
-    # stable pack-time log: like the checkpoint store they live host-side
-    # and survive rank crashes, which is what makes replay possible.
-    # ------------------------------------------------------------------
+    def slot_sources(self, rank: int) -> dict[int, tuple[str, int, int]]:
+        """Which transfer or staged local copy legitimately wrote each A
+        slot on ``rank``."""
+        cached = self._slot_sources[rank]
+        if cached is None:
+            cached = {}
+            for tid, tr in self.expected[rank].items():
+                for pos, slot in enumerate(tr.dst_slots):
+                    cached[int(slot)] = ("transfer", tid, pos)
+            for li, (tr, _values) in enumerate(self.staged_locals[rank]):
+                for pos, slot in enumerate(tr.dst_slots):
+                    cached[int(slot)] = ("local", li, pos)
+            self._slot_sources[rank] = cached
+        return cached
 
-    locals_applied = False
-    if checkpoints is not None:
-        # Baseline checkpoint: taken *before* pack so even a crash at
-        # the very first barrier has somewhere to rewind to.
-        take_checkpoint()
-
-    def pack_phase(ctx):
-        # Ranks beyond the RHS grid (elastic machines run with
-        # vm.p >= grid.size) hold no source shard: nothing to pack.
-        if ctx.rank >= b.grid.size:
-            return
-        src_mem = ctx.memory(b.name)
-        # Packing runs through the native/NumPy dispatch seam
-        # (repro.runtime.native, global mode): the hot gather loops are
-        # compiled when available, bit-identical either way.
-        kernels = kernels_for(None)
-        for tid, tr in enumerate(transfers):
-            if tr.source != ctx.rank:
-                continue
-            payload = gather_slots(src_mem, tr.src_slots, kernels)
-            outbox[ctx.rank][tid] = _Outbound(tr, payload)
-            ctx.send(tr.dest, data_tag, Packet(tid, 0, _packet_checksum(tid, 0, payload), payload))
-        staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
-            for tr in schedule.locals_
-            if tr.source == ctx.rank
-        ]
-        staged_locals[ctx.rank] = staged
-        if staged:
-            dst_mem = ctx.memory(a.name)
-            for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
-                if auditor is not None:
-                    auditor.note_write(ctx.rank, a.name, tr.dst_slots)
-
-    with obs.span(
-        "pack_phase",
-        array=a.name,
-        transfers=len(transfers),
-        elements=sum(len(tr) for tr in transfers),
-        payload_bytes=sum(8 * len(tr) + _HEADER_BYTES for tr in transfers),
-    ):
-        vm.run(pack_phase)
-    report.supersteps += 1
-    locals_applied = True
-    observe_crashes()
-    audit_and_repair(0)
-
-    # ------------------------------------------------------------------
-    # Protocol rounds: receive/apply/ACK + retransmit, one superstep
-    # each, until every expected transfer has been applied.  Every live
-    # participant also beacons a heartbeat to its peers; a peer silent
-    # for ``suspect_after`` rounds is presumed crashed and
-    # retransmissions toward it park until it is heard from again.
-    # ------------------------------------------------------------------
-
-    def protocol_round(round_no: int, suspects: frozenset[int]):
-        def step(ctx):
-            rank = ctx.rank
-            proc = vm.processors[rank]
-            if proc.incarnation > integrated[rank]:
-                # Freshly rebooted, not yet restored from checkpoint:
-                # announce liveness (the new incarnation) and do nothing
-                # else -- local memory is still wiped.
-                for q in peers.get(rank, ()):
-                    ctx.send(q, hb_tag, _hb(rank, proc.incarnation))
-                return
-            # Liveness: fold heartbeats into the shared failure detector.
-            for source, payload in ctx.drain(hb_tag):
-                if _valid_control(payload, "hb"):
-                    last_heard[source] = max(last_heard[source], round_no)
-            # Sender role: fold in ACK/NACK traffic (checksummed; a
-            # corrupted control message is discarded, the timeout covers).
-            for source, payload in ctx.drain(ack_tag):
-                if _valid_control(payload, "ack"):
-                    last_heard[source] = max(last_heard[source], round_no)
-                    for tid in payload[1]:
-                        ob = outbox[rank].get(tid)
-                        if ob is not None:
-                            ob.acked = True
-            for source, payload in ctx.drain(nack_tag):
-                if _valid_control(payload, "nack"):
-                    last_heard[source] = max(last_heard[source], round_no)
-                    ob = outbox[rank].get(payload[1])
-                    if ob is not None and not ob.acked:
-                        ob.nacked = True
-
-            # Receiver role: validate, apply idempotently, NACK corruption.
-            dst_mem = ctx.memory(a.name) if expected[rank] else None
-            for source, payload in ctx.drain(data_tag):
-                last_heard[source] = max(last_heard[source], round_no)
-                if not isinstance(payload, Packet) or not payload.valid():
-                    report.detected_corruptions += 1
-                    obs.inc("resilient.detected_corruptions")
-                    tid = getattr(payload, "tid", None)
-                    if isinstance(tid, int) and tid in expected[rank]:
-                        ctx.send(source, nack_tag, _nack(tid))
-                        report.nacks_sent += 1
-                        obs.inc("resilient.nacks_sent")
-                    continue
-                tr = expected[rank].get(payload.tid)
-                if tr is None or tr.source != source:
-                    # A checksum-consistent packet for a transfer this rank
-                    # does not expect -- only reachable through tag/routing
-                    # corruption; drop it.
-                    report.detected_corruptions += 1
-                    obs.inc("resilient.detected_corruptions")
-                    continue
-                if payload.tid in applied[rank]:
-                    report.duplicates_ignored += 1
-                    obs.inc("resilient.duplicates_ignored")
-                    continue
-                dst_mem[as_index(tr.dst_slots)] = payload.payload
-                applied[rank].add(payload.tid)
-                if auditor is not None:
-                    auditor.note_write(rank, a.name, tr.dst_slots)
-
-            # Receiver role: cumulative ACKs, re-sent every round so a
-            # dropped ACK is repaired by the next one.
-            by_source: dict[int, list[int]] = {}
-            for tid in applied[rank]:
-                by_source.setdefault(expected[rank][tid].source, []).append(tid)
-            for source, tids in by_source.items():
-                ctx.send(source, ack_tag, _ack(tuple(sorted(tids))))
-
-            # Sender role: retransmit overdue or NACKed transfers --
-            # except toward suspected-dead peers, where retransmissions
-            # park so an outage cannot exhaust the retry budget.
-            for tid, ob in outbox[rank].items():
-                if ob.acked or ob.exhausted:
-                    continue
-                if ob.transfer.dest in suspects:
-                    continue
-                if not ob.nacked and round_no - ob.last_sent < policy.timeout:
-                    continue
-                if ob.sends > policy.max_retries:
-                    ob.exhausted = True
-                    continue
-                seq = ob.sends
-                ctx.send(
-                    ob.transfer.dest,
-                    data_tag,
-                    Packet(tid, seq, _packet_checksum(tid, seq, ob.payload), ob.payload),
-                )
-                ob.sends += 1
-                ob.last_sent = round_no
-                ob.nacked = False
-                report.retries += 1
-                report.retransmitted_bytes += int(ob.payload.nbytes) + _HEADER_BYTES
-                # Emitted at the same code point as report.retries so the
-                # Chrome-trace instant count always equals the report.
-                obs.instant(
-                    "retransmit", rank=rank, tid=tid,
-                    dest=ob.transfer.dest, seq=seq,
-                )
-                obs.inc("resilient.retries")
-
-            # Liveness beacon to every peer (cheap, checksummed).
-            for q in peers.get(rank, ()):
-                ctx.send(q, hb_tag, _hb(rank, proc.incarnation))
-
-        return step
-
-    def data_converged() -> bool:
-        return all(
-            set(expected[rank]) <= applied[rank] for rank in range(vm.p)
-        )
-
-    def suspects_now(round_no: int) -> frozenset[int]:
-        return frozenset(
-            r for r in participants
-            if round_no - last_heard[r] > policy.suspect_after
-        )
-
-    # ------------------------------------------------------------------
-    # Cleanup phase function: drain in-flight leftovers (late duplicates,
-    # final ACKs, stalled stragglers, heartbeats) so the exchange leaves
-    # the network idle.  The tags are exchange-unique, so even a
-    # straggler the fault plan pins past the budget cannot interfere
-    # with later exchanges.
-    # ------------------------------------------------------------------
-
-    def cleanup(ctx):
-        for _source, payload in ctx.drain(data_tag):
-            # Validate even the leftovers we discard: a packet the fault
-            # plan corrupted in its final flight is a *detected*
-            # corruption, not a duplicate -- the sensitivity sweep
-            # asserts every injected wire fault is accounted for.
-            if isinstance(payload, Packet) and payload.valid():
-                report.duplicates_ignored += 1
-                obs.inc("resilient.duplicates_ignored")
+    def repair_divergence(self, div) -> bool:
+        """Ladder steps 1-2: rewrite slots covered by an applied
+        transfer or staged local from the pack-time payload log, patch
+        the rest from the newest covering checkpoint.  Returns ``False``
+        when neither source covers the damage (caller escalates)."""
+        if not div.localized:
+            return False
+        report = self.report
+        arena = self.vm.processors[div.rank].memory(div.arena)
+        sources = self.slot_sources(div.rank) if div.arena == self.a.name else {}
+        leftover: list[int] = []
+        for slot in div.slots:
+            value = None
+            src = sources.get(slot)
+            if src is not None:
+                kind, i, pos = src
+                if kind == "transfer" and i in self.applied[div.rank]:
+                    ob = self.outbox[self.expected[div.rank][i].source].get(i)
+                    if ob is not None:
+                        value = ob.payload[pos]
+                elif kind == "local" and self.locals_applied:
+                    value = self.staged_locals[div.rank][i][1][pos]
+            if value is not None:
+                arena[slot] = value
+                report.repaired_from_retransmit += 1
             else:
-                report.detected_corruptions += 1
-                obs.inc("resilient.detected_corruptions")
-        ctx.drain(ack_tag)
-        ctx.drain(nack_tag)
-        ctx.drain(hb_tag)
+                leftover.append(slot)
+        if leftover:
+            entry = (
+                self.checkpoints.latest_for(div.rank)
+                if self.checkpoints is not None else None
+            )
+            values = entry[1].arena_values(div.arena) if entry else None
+            if values is None or values.size != arena.size:
+                return False
+            idx = np.asarray(leftover, dtype=np.int64)
+            arena[idx] = values[idx].astype(arena.dtype, copy=False)
+            report.repaired_from_checkpoint += len(leftover)
+        self._count("chunks_repaired")
+        self.obs.instant(
+            "repair", rank=div.rank, arena=div.arena, chunk=div.chunk,
+            from_checkpoint=len(leftover),
+        )
+        if self.recorder is not None:
+            self.recorder.record(
+                div.rank, self.vm.superstep, "repair",
+                f"arena={div.arena} chunk={div.chunk} "
+                f"slots={list(div.slots)} from_checkpoint={len(leftover)}",
+            )
+        return True
 
-    round_no = 0
-    rounds_since_ckpt = 0
-    while True:
-        # Protocol rounds until every expected transfer is applied on an
-        # all-alive, fully-restored machine.  A crash mid-exchange keeps
-        # the loop running: survivors park, the victim's downtime
-        # elapses, and ``integrate_reboots`` rewinds it to its last
-        # checkpoint and reopens the transfers its wiped memory lost.
-        while not (data_converged() and healthy()):
-            if report.supersteps >= policy.max_supersteps:
-                raise ExchangeFailure(
-                    f"exchange did not converge within {policy.max_supersteps} "
-                    f"supersteps ({_missing_summary(expected, applied, vm.p)})",
-                    report,
-                )
-            suspects = suspects_now(round_no + 1)
-            if (
-                healthy()
-                and not suspects
-                and _all_exhausted(outbox, expected, applied, vm.p)
-                and not vm.outstanding(core_tags)
-            ):
-                raise ExchangeFailure(
-                    "retries exhausted with transfers still undelivered "
-                    f"({_missing_summary(expected, applied, vm.p)})",
-                    report,
-                )
-            round_no += 1
-            if suspects:
-                report.parked_rounds += 1
-            with obs.span(
-                "protocol_round", round=round_no, suspects=len(suspects)
-            ):
-                vm.run(protocol_round(round_no, suspects))
-            report.supersteps += 1
-            observe_crashes()
-            integrate_reboots(round_no)
-            audit_and_repair(round_no)
-            rounds_since_ckpt += 1
-            if (
-                checkpoints is not None
-                and healthy()
-                and checkpoints.policy.due(rounds_since_ckpt)
-            ):
-                take_checkpoint()
-                rounds_since_ckpt = 0
-        report.converged = True
-
-        # Drain stragglers.  A crash at a cleanup barrier reopens the
-        # exchange (the victim's recovery resets its applied set), so on
-        # any health change we fall back into the protocol loop.
-        reopened = False
-        while vm.outstanding(all_tags) and report.supersteps < policy.max_supersteps:
-            with obs.span("cleanup_round"):
-                vm.run(cleanup)
-            report.supersteps += 1
-            observe_crashes()
-            integrate_reboots(round_no)
-            audit_and_repair(round_no)
-            if not (data_converged() and healthy()):
-                reopened = True
-                break
-        if not reopened and data_converged() and healthy():
-            break
+    def escalate(self, div, round_no: int) -> None:
+        """Ladder step 3: localization (or in-place repair) failed --
+        rewind the whole rank exactly like a crash recovery."""
+        rewound = self.rewind(div.rank, round_no)
+        if rewound is None:
+            self.report.unrecoverable_chunk = (div.rank, div.arena, div.chunk)
+            raise ExchangeFailure(
+                f"rank {div.rank} arena {div.arena!r} chunk {div.chunk} "
+                "diverged and cannot be repaired (no retransmit coverage, "
+                "no retained checkpoint) -- corruption detected but "
+                "unrecoverable",
+                self.report,
+            )
+        ckpt, reopened = rewound
+        self.report.audit_escalations += 1
+        self.obs.instant(
+            "restore", rank=div.rank, arena=div.arena, chunk=div.chunk,
+            checkpoint_superstep=ckpt.superstep, escalation=True,
+        )
+        if self.recorder is not None:
+            self.recorder.record(
+                div.rank, self.vm.superstep, "restore",
+                f"audit escalation: arena={div.arena} chunk={div.chunk}, "
+                f"rewound to checkpoint superstep {ckpt.superstep}, "
+                f"{reopened} transfer(s) reopened",
+            )
 
     # ------------------------------------------------------------------
-    # Self-verification: every destination section must checksum to what
-    # the schedule predicted at pack time.  Catches silent loss that the
+    # Verify: every destination section must checksum to what the
+    # schedule predicted at pack time.  Catches silent loss that the
     # per-packet machinery somehow missed -- the difference between a
     # wrong answer and a hard error.
     # ------------------------------------------------------------------
 
-    failures = []
-    with obs.span("verify_destinations", array=a.name):
-        for rank in range(a.grid.size):
-            dst_mem = vm.processors[rank].memory(a.name)
-            checks = [
-                (tid, expected[rank][tid], outbox[expected[rank][tid].source][tid].payload)
-                for tid in expected[rank]
-            ]
-            checks += [(None, tr, values) for tr, values in staged_locals[rank]]
-            for tid, tr, payload in checks:
-                predicted = _values_checksum(payload.astype(dst_mem.dtype, copy=False))
-                actual = _values_checksum(dst_mem[as_index(tr.dst_slots)])
-                if predicted != actual:
-                    failures.append((rank, tid, tr.source))
-    if failures:
-        raise ExchangeFailure(
-            f"destination verification failed for {len(failures)} transfer(s) "
-            f"(rank, tid, source): {failures[:5]} -- silent data loss detected",
-            report,
-        )
-    report.verified = True
-    return report
-
-
-def _all_exhausted(outbox, expected, applied, p: int) -> bool:
-    """True when every still-missing transfer's sender has given up."""
-    for rank in range(p):
-        for tid in set(expected[rank]) - applied[rank]:
-            ob = outbox[expected[rank][tid].source].get(tid)
-            if ob is not None and not ob.exhausted:
-                return False
-    return True
-
-
-def _missing_summary(expected, applied, p: int) -> str:
-    missing = {
-        rank: sorted(set(expected[rank]) - applied[rank])
-        for rank in range(p)
-        if set(expected[rank]) - applied[rank]
-    }
-    return f"missing transfers by rank: {missing}"
+    def verify(self) -> None:
+        failures = []
+        with self.obs.span("verify_destinations", array=self.a.name):
+            for rank in range(self.a.grid.size):
+                dst_mem = self.vm.processors[rank].memory(self.a.name)
+                expected = self.expected[rank]
+                checks = [
+                    (tid, tr, self.outbox[tr.source][tid].payload)
+                    for tid, tr in expected.items()
+                ]
+                checks += [(None, tr, values) for tr, values in self.staged_locals[rank]]
+                for tid, tr, payload in checks:
+                    predicted = _values_checksum(
+                        payload.astype(dst_mem.dtype, copy=False)
+                    )
+                    actual = _values_checksum(dst_mem[as_index(tr.dst_slots)])
+                    if predicted != actual:
+                        failures.append((rank, tid, tr.source))
+        if failures:
+            raise ExchangeFailure(
+                f"destination verification failed for {len(failures)} transfer(s) "
+                f"(rank, tid, source): {failures[:5]} -- silent data loss detected",
+                self.report,
+            )
 
 
 def _full_section(array: DistributedArray) -> RegularSection:

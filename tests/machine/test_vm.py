@@ -1,28 +1,53 @@
-"""Tests for the SPMD virtual machine."""
+"""Tests for the SPMD virtual machine.
+
+The backend-agnostic cases build their machines through
+:func:`repro.machine.iface.create_machine` and rerun on real worker
+processes in the ``*Mp`` classes; cases that read ``vm.network`` stay
+in-process only.
+"""
 
 import numpy as np
 import pytest
 
+from repro.machine.iface import create_machine
 from repro.machine.vm import VirtualMachine
 
 
-class TestRun:
+class Backend:
+    """Builds machines on ``backend`` and closes them after each test."""
+
+    backend = "inprocess"
+
+    @pytest.fixture(autouse=True)
+    def _close_machines(self):
+        self._made = []
+        yield
+        for vm in self._made:
+            vm.close()
+
+    def machine(self, p, **kw):
+        vm = create_machine(p, self.backend, **kw)
+        self._made.append(vm)
+        return vm
+
+
+class TestRun(Backend):
     def test_per_rank_execution(self):
-        vm = VirtualMachine(4)
+        vm = self.machine(4)
         results = vm.run(lambda ctx: ctx.rank * 10)
         assert results == [0, 10, 20, 30]
 
     def test_extra_args(self):
-        vm = VirtualMachine(2)
+        vm = self.machine(2)
         assert vm.run(lambda ctx, x, y: ctx.rank + x + y, 5, 10) == [15, 16]
 
     def test_run_spmd_per_rank_args(self):
-        vm = VirtualMachine(3)
+        vm = self.machine(3)
         got = vm.run_spmd(lambda ctx, v: v * 2, [(1,), (2,), (3,)])
         assert got == [2, 4, 6]
 
     def test_run_spmd_arg_count_mismatch(self):
-        vm = VirtualMachine(3)
+        vm = self.machine(3)
         with pytest.raises(ValueError, match="need 3 argument tuples, got 1"):
             vm.run_spmd(lambda ctx: None, [()])
         with pytest.raises(ValueError, match="need 3 argument tuples, got 4"):
@@ -32,14 +57,14 @@ class TestRun:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one rank"):
-            VirtualMachine(0)
+            self.machine(0)
         with pytest.raises(ValueError, match="at least one phase"):
-            VirtualMachine(2).bsp()
+            self.machine(2).bsp()
 
 
-class TestMessaging:
+class TestMessaging(Backend):
     def test_ring_shift(self):
-        vm = VirtualMachine(4)
+        vm = self.machine(4)
 
         def send_phase(ctx):
             ctx.send((ctx.rank + 1) % ctx.p, "ring", ctx.rank)
@@ -51,7 +76,7 @@ class TestMessaging:
         assert got == [3, 0, 1, 2]
 
     def test_probe_and_drain_in_context(self):
-        vm = VirtualMachine(2)
+        vm = self.machine(2)
 
         def send_phase(ctx):
             if ctx.rank == 0:
@@ -67,21 +92,21 @@ class TestMessaging:
         assert got[1] == [(0, "data")]
 
 
-class TestMemory:
+class TestMemory(Backend):
     def test_allocate_and_access(self):
-        vm = VirtualMachine(2)
+        vm = self.machine(2)
         vm.allocate_all("A", [10, 20])
         assert len(vm.processors[0].memory("A")) == 10
         assert len(vm.processors[1].memory("A")) == 20
         assert all(isinstance(m, np.ndarray) for m in vm.memories("A"))
 
     def test_allocate_all_validation(self):
-        vm = VirtualMachine(2)
+        vm = self.machine(2)
         with pytest.raises(ValueError, match="sizes"):
             vm.allocate_all("A", [10])
 
     def test_context_memory(self):
-        vm = VirtualMachine(2)
+        vm = self.machine(2)
 
         def node(ctx):
             arena = ctx.allocate("buf", 4)
@@ -98,7 +123,7 @@ class TestMemory:
         assert vm.network.stats.messages == 0
 
 
-class TestCrashLifecycle:
+class TestCrashLifecycle(Backend):
     def test_forced_crash_fires_at_barrier(self):
         from repro.machine.faults import FaultPlan
 
@@ -111,12 +136,22 @@ class TestCrashLifecycle:
         assert vm.crash_log == [(2, 1)]
 
     def test_dead_rank_skips_execution_and_yields_none(self):
-        vm = VirtualMachine(3)
+        vm = self.machine(3)
         vm.crash_rank(1, downtime=100)
         got = vm.run(lambda ctx: ctx.rank * 10)
         assert got == [0, None, 20]
         got = vm.run_spmd(lambda ctx, v: v, [(7,), (8,), (9,)])
         assert got == [7, None, 9]
+
+    def test_crash_rank_on_dead_rank_raises(self):
+        vm = self.machine(2)
+        vm.crash_rank(1, downtime=100)
+        with pytest.raises(RuntimeError, match="rank 1 is already dead"):
+            vm.crash_rank(1)
+        # A backend that detects one death twice goes through the
+        # internal crash path, which stays idempotent.
+        vm._crash(1, vm.superstep, 1)
+        assert vm.crash_log == [(1, 0)]
 
     def test_crash_quarantines_in_flight_sends(self):
         vm = VirtualMachine(2)
@@ -130,7 +165,7 @@ class TestCrashLifecycle:
         assert not vm.network.probe(0, 1, "t")
 
     def test_restart_wipes_memory_and_bumps_incarnation(self):
-        vm = VirtualMachine(2)
+        vm = self.machine(2)
         vm.allocate_all("A", [4, 4])
         vm.processors[1].memory("A")[:] = 5.0
         vm.crash_rank(1, downtime=1)
@@ -162,3 +197,31 @@ class TestCrashLifecycle:
         assert report["crashes"] == [(2, 0)]
         assert report["dead_ranks"] == [2]
         assert report["incarnations"] == [0, 0, 0]
+
+
+class TestRunMp(TestRun):
+    backend = "mp"
+
+
+class TestMessagingMp(TestMessaging):
+    backend = "mp"
+
+
+class TestMemoryMp(Backend):
+    backend = "mp"
+    test_allocate_and_access = TestMemory.test_allocate_and_access
+    test_allocate_all_validation = TestMemory.test_allocate_all_validation
+    test_context_memory = TestMemory.test_context_memory
+
+
+class TestCrashLifecycleMp(Backend):
+    backend = "mp"
+    test_dead_rank_skips_execution_and_yields_none = (
+        TestCrashLifecycle.test_dead_rank_skips_execution_and_yields_none
+    )
+    test_restart_wipes_memory_and_bumps_incarnation = (
+        TestCrashLifecycle.test_restart_wipes_memory_and_bumps_incarnation
+    )
+    test_crash_rank_on_dead_rank_raises = (
+        TestCrashLifecycle.test_crash_rank_on_dead_rank_raises
+    )

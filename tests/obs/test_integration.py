@@ -24,6 +24,8 @@ from repro.runtime.redistribute import redistribute
 from repro.runtime.resilient import redistribute_resilient
 from repro.distribution.section import RegularSection
 
+from .test_profile import RESILIENT_COUNTERS
+
 
 def make_1d(name, n, p, k):
     grid = ProcessorGrid("P", (p,))
@@ -134,6 +136,35 @@ class TestTraceMatchesReport:
             obs.metrics.value("resilient.chunks_repaired")
             == report.chunks_repaired
         )
+
+    def test_metrics_equal_every_counted_report_field(self):
+        # Verified mode with wire faults, scribbles and a forced crash, so
+        # every report field that has a resilient.* counter moves.
+        n, p = 240, 4
+        obs = Observability()
+        plan = FaultPlan(
+            seed=1, drop=0.2, corrupt=0.1, scribble=0.2,
+            forced_crashes=frozenset({(2, 1)}), crash_downtime=1,
+        )
+        vm = VirtualMachine(p, fault_plan=plan, obs=obs)
+        src, dst = make_1d("S", n, p, 3), make_1d("D", n, p, 7)
+        host = np.arange(n, dtype=float)
+        distribute(vm, src, host)
+        distribute(vm, dst, np.zeros(n))
+        store = CheckpointStore(CheckpointPolicy(every=1, retention=4))
+        stats, report = redistribute_resilient(
+            vm, dst, src, checkpoints=store, auditor=True
+        )
+        assert np.array_equal(collect(vm, dst), host)
+        for field, counter in RESILIENT_COUNTERS.items():
+            assert getattr(report, field) > 0, field
+            assert obs.metrics.value(counter) == getattr(report, field), field
+        assert (
+            obs.metrics.value("resilient.restores")
+            == len(report.recoveries) + report.audit_escalations
+            == 1
+        )
+        assert len(obs.trace.instants("restore")) == 1
 
 
 class TestMachineReport:

@@ -130,6 +130,57 @@ class TestResilientParity:
         # The per-step retransmit instants sum to the report too.
         assert sum(sp.retransmits for sp in profile.supersteps) == report.retries
 
+    def test_every_counted_report_field_in_verified_mode(self):
+        from repro.machine.checkpoint import CheckpointPolicy, CheckpointStore
+        from repro.runtime.resilient import redistribute_resilient
+
+        n, p = 240, 4
+        plan = FaultPlan(
+            seed=1, drop=0.2, corrupt=0.1, scribble=0.2,
+            forced_crashes=frozenset({(2, 1)}), crash_downtime=1,
+        )
+        obs = Observability(enabled=True)
+        vm = VirtualMachine(p, fault_plan=plan, obs=obs)
+        collector = ProfileCollector()
+        with collector.attach(vm):
+            src = _vector("S", n, p, 3)
+            dst = _vector("D", n, p, 7)
+            distribute(vm, src, np.arange(n, dtype=float))
+            distribute(vm, dst, np.zeros(n))
+            store = CheckpointStore(CheckpointPolicy(every=1, retention=4))
+            stats, report = redistribute_resilient(
+                vm, dst, src, checkpoints=store, auditor=True
+            )
+        counters = collector.build().counters
+        assert np.array_equal(collect(vm, dst), np.arange(n, dtype=float))
+
+        for field, counter in RESILIENT_COUNTERS.items():
+            value = getattr(report, field)
+            assert value > 0, f"scenario must exercise {field}"
+            assert counters.get(counter, 0) == value, field
+        assert len(report.recoveries) == 1
+        assert (
+            counters["resilient.restores"]
+            == len(report.recoveries) + report.audit_escalations
+        )
+        # resilient.audits counts audit rounds; report.audits counts
+        # every auditor pass, post-repair re-audits included.
+        assert counters["resilient.audits"] == len(obs.trace.spans("audit"))
+        assert report.audits >= counters["resilient.audits"] > 0
+
+
+# ResilienceReport field -> the resilient.* counter bumped with it.
+RESILIENT_COUNTERS = {
+    "retries": "resilient.retries",
+    "detected_corruptions": "resilient.detected_corruptions",
+    "duplicates_ignored": "resilient.duplicates_ignored",
+    "nacks_sent": "resilient.nacks_sent",
+    "scribbles_detected": "resilient.scribbles_detected",
+    "chunks_repaired": "resilient.chunks_repaired",
+    "checkpoints_taken": "resilient.checkpoints",
+    "checkpoint_bytes": "resilient.checkpoint_bytes",
+}
+
 
 class TestBackendAgreement:
     def test_mp_profile_matches_oracle_on_deterministic_fields(self):

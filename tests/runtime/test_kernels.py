@@ -118,6 +118,19 @@ class TestCoordinateKernels:
             local_slots_of(idx, 4, 3), local_addresses_of(idx, 4, 3)
         )
 
+    def test_affine_cell_overflow_is_rejected(self):
+        # 3 * 2**62 does not fit in int64: the vector path used to wrap
+        # to owner 6 / address -658812288346769704, where the scalar
+        # CyclicLayout answers owner 2 / address 1976436865040309102.
+        idx = np.array([2**62], dtype=np.int64)
+        for kernel in (owners_of, local_addresses_of):
+            with pytest.raises(
+                OverflowError, match=r"p=7, k=5, a=3, b=0 at index 4611686018427387904"
+            ):
+                kernel(idx, 7, 5, 3, 0)
+        # The identity alignment stays check-free and exact.
+        assert owners_of(idx, 7, 5).tolist() == [CyclicLayout(7, 5).owner(2**62)]
+
     def test_affine_slots_need_rank_structure(self):
         with pytest.raises(ValueError):
             local_slots_of(np.arange(4), 2, 3, a=2, b=1)

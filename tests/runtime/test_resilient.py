@@ -495,6 +495,47 @@ class TestVerifiedMode:
         assert np.array_equal(collect(vm, a), expected)
         assert report.repaired_from_checkpoint > 0
 
+    def test_unlocalizable_divergence_escalates_to_full_restore(self):
+        # An un-noted reallocation changes the arena's shape, so the
+        # audit after the pack superstep reports a WHOLE_ARENA
+        # divergence: no chunk repair applies and the ladder rewinds the
+        # whole rank to its baseline checkpoint, reopening every
+        # transfer into it.
+        from repro.machine.audit import IntegrityAuditor
+
+        expected = self.baseline()
+        vm, a, b = self.build()
+        victim = 2
+        auditor = IntegrityAuditor()
+        auditor.attach(vm)
+        pack_step = vm.superstep
+
+        def reallocate(machine, step):
+            # Runs after the auditor's commit hook, like real bit rot.
+            if step == pack_step:
+                proc = machine.processors[victim]
+                proc.allocate("A", proc.memory("A").size + 1)
+
+        vm.barrier_hooks.append(reallocate)
+        store = CheckpointStore(CheckpointPolicy(every=1, retention=4))
+        report = execute_copy_resilient(
+            vm, a, self.SEC_A, b, self.SEC_B,
+            checkpoints=store, auditor=auditor,
+        )
+        vm.barrier_hooks.remove(reallocate)
+        assert collect(vm, a).tobytes() == expected.tobytes()
+        assert report.verified
+        assert report.scribbles_detected == 1
+        assert report.audit_escalations == 1
+        assert report.chunks_repaired == 0
+        assert report.recoveries == []
+        inbound = [tr for tr in report.schedule.transfers if tr.dest == victim]
+        assert inbound
+        assert report.replayed_transfers == len(inbound)
+        # Each reopened transfer is resent once; the original copy is
+        # applied first, so the resend lands as a duplicate.
+        assert report.retries == report.duplicates_ignored == len(inbound)
+
     def test_verified_mode_clean_network_no_false_alarms(self):
         expected = self.baseline()
         vm, a, b = self.build()
