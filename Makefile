@@ -1,7 +1,7 @@
 # Convenience targets for the PPoPP '95 reproduction.
 
 .PHONY: install test bench bench-kernels bench-native bench-elastic \
-	bench-service bench-e2e faults soak mp-soak elastic-soak service-soak reproduce \
+	bench-service bench-e2e bench-e2e-native faults soak mp-soak elastic-soak service-soak reproduce \
 	examples trace profile clean clean-reports
 
 # Seeds the fault-injection sweep runs under (space separated).
@@ -63,6 +63,13 @@ bench-service:
 bench-e2e:
 	pytest -q benchmarks/e2e
 	python3 benchmarks/e2e/run.py --quick --trace 0 1 --out bench-e2e-quick.json
+
+# The same quick pass with native kernels forced on (docs/NATIVE.md):
+# compiled fills, packs and unpacks must leave every collected image
+# bit-identical to the oracle (exits 1 otherwise).
+bench-e2e-native:
+	REPRO_NATIVE=on python3 benchmarks/e2e/run.py --quick \
+		--workload jacobi layout-sweep --out bench-e2e-native-quick.json
 
 # Fault-injection + resilient-protocol suites at several seeds
 # (docs/FAULT_MODEL.md): same seed => same fault trace, so any failure
@@ -224,3 +231,4 @@ clean-reports:
 	rm -rf $(FAULT_REPORT_DIR)
 	rm -f trace.json trace.jsonl trace-summary.txt BENCH_*_metrics.json
 	rm -f PROFILE.json PROFILE_mp.json bench-e2e-quick.json
+	rm -f bench-e2e-native-quick.json

@@ -601,8 +601,7 @@ class _Exchange:
             ctx.send(tr.dest, self.data_tag, Packet.seal(tid, 0, payload))
         staged = [
             (tr, gather_slots(src_mem, tr.src_slots, kernels))
-            for tr in self.schedule.locals_
-            if tr.source == ctx.rank
+            for tr in self.schedule.locals_at(ctx.rank)
         ]
         self.staged_locals[ctx.rank] = staged
         if staged:

@@ -57,14 +57,16 @@ def random_program_1d(draw):
             source = draw(st.sampled_from(ARRAY_NAMES))
             lines.append(f"{target}({section()}) = {source}({section()})")
         else:
-            t1 = draw(st.sampled_from(ARRAY_NAMES))
-            t2 = draw(st.sampled_from(ARRAY_NAMES))
-            c1 = draw(st.integers(min_value=-3, max_value=3))
-            c2 = draw(st.integers(min_value=-3, max_value=3))
-            lines.append(
-                f"{target}({section()}) = {c1}.0 * {t1}({section()}) "
-                f"+ {c2}.0 * {t2}({section()})"
-            )
+            # 1-4 terms with non-integer coefficients: the sum must
+            # associate left to right exactly as the reference does.
+            n_terms = draw(st.integers(min_value=1, max_value=4))
+            terms = []
+            for _ in range(n_terms):
+                coef = draw(st.floats(min_value=-3, max_value=3,
+                                      allow_nan=False, allow_infinity=False))
+                term = draw(st.sampled_from(ARRAY_NAMES))
+                terms.append(f"{coef!r} * {term}({section()})")
+            lines.append(f"{target}({section()}) = " + " + ".join(terms))
     return "\n".join(lines), n
 
 
@@ -77,7 +79,7 @@ class TestDifferential1D:
         compiled = compile_source(source)
 
         rng = np.random.default_rng(seed)
-        inputs = {name: rng.integers(-9, 9, n).astype(float) for name in ARRAY_NAMES}
+        inputs = {name: rng.uniform(-9, 9, n) for name in ARRAY_NAMES}
 
         want = interpret(program_ast, inputs)
 
@@ -88,7 +90,7 @@ class TestDifferential1D:
 
         for name in ARRAY_NAMES:
             got = compiled.image(vm, name)
-            assert np.allclose(got, want[name]), (source, name)
+            assert got.tobytes() == want[name].tobytes(), (source, name)
 
 
 class TestDifferential2D:
@@ -129,4 +131,5 @@ class TestDifferential2D:
         distribute(vm, compiled.arrays["N"], inputs["N"])
         compiled.run(vm)
         for name in ("M", "N", "Q"):
-            assert np.allclose(compiled.image(vm, name), want[name]), name
+            got = compiled.image(vm, name)
+            assert got.tobytes() == want[name].tobytes(), name
