@@ -102,8 +102,10 @@ def owners_of(indices, p: int, k: int, a: int = 1, b: int = 0) -> np.ndarray:
     if p <= 0 or k <= 0:
         raise ValueError(f"need p > 0 and k > 0, got p={p}, k={k}")
     ambient().inc("kernels.owners_of")
-    cells = _cells_of(indices, p, k, a, b)
-    return cells % (p * k) // k
+    blocks = _cells_of(indices, p, k, a, b) // k
+    # ``blocks mod p`` without ``%``: NumPy's floor division by a scalar
+    # is strength-reduced, its remainder is not.
+    return blocks - blocks // p * p
 
 
 def local_addresses_of(indices, p: int, k: int, a: int = 1, b: int = 0) -> np.ndarray:
@@ -118,8 +120,15 @@ def local_addresses_of(indices, p: int, k: int, a: int = 1, b: int = 0) -> np.nd
         raise ValueError(f"need p > 0 and k > 0, got p={p}, k={k}")
     ambient().inc("kernels.local_addresses_of")
     cells = _cells_of(indices, p, k, a, b)
-    rows, offsets = np.divmod(cells, p * k)
-    return rows * k + offsets % k
+    # Floor divisions only (see owners_of): with ``blocks = cell div k``,
+    # ``row = blocks div p`` and ``cell mod p*k mod k = cell - blocks*k``.
+    blocks = cells // k
+    out = blocks // p
+    out *= k
+    out += cells
+    blocks *= k
+    out -= blocks
+    return out
 
 
 def periodic_rank_of(

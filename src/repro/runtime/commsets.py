@@ -5,20 +5,21 @@ arrays, iteration ``t`` reads ``B(lb + t*sb)`` from its owner ``q`` and
 writes ``A(la + t*sa)`` on its owner ``r``; whenever ``q != r`` the
 value must be communicated.  "Generating local addresses and
 communication sets" is exactly the companion problem of the paper's
-Chatterjee et al. reference, and the access-sequence machinery makes the
-enumeration efficient: each sender enumerates only *its own* elements of
-the RHS section (O(#local elements) after an O(k) table construction)
-and computes the LHS owner/address arithmetically.
+Chatterjee et al. reference.
 
-The public :func:`compute_comm_schedule` is fully vectorized: every
-sender's RHS elements come from
-:func:`repro.distribution.localize.localized_arrays` as index/slot
-vectors, the LHS owners and compressed slots are closed-form divmod
-arithmetic (:mod:`repro.core.kernels`), and the per-destination
-:class:`Transfer` buckets fall out of one ``lexsort`` + boundary split.
+The owner and compressed slot of one element are closed-form ``cyclic(k)``
+arithmetic, so the public :func:`compute_comm_schedule` needs no
+per-sender access table: :func:`dim_transfers` computes both sides'
+owners and slots for all ``n`` iterations at once
+(:mod:`repro.core.kernels`; non-identity alignments rank addresses
+through one cached rank function per owning coordinate), orders them by
+``(source, dest)`` and then iteration with one stable radix ``argsort``
+on a narrow unsigned key, and cuts the :class:`Transfer` buckets with
+one boundary split.  The paper's ΔM tables still drive fills,
+distribute/collect and :func:`repro.distribution.localize.localize_section`.
 :func:`compute_comm_schedule_reference` keeps the original
-element-at-a-time loop as the oracle the property tests and benchmarks
-compare against.
+element-at-a-time loop over each sender's localized elements as the
+oracle the property tests and benchmarks compare against.
 
 Rank-1 arrays on rank-1 grids are supported directly; multidimensional
 statements decompose per-dimension at the :mod:`repro.runtime.exec`
@@ -28,13 +29,12 @@ level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from ..core.kernels import local_addresses_of, owners_of
 from ..distribution.array import DistributedArray
-from ..distribution.localize import localized_arrays, localized_elements
+from ..distribution.localize import localized_elements
 from ..distribution.section import RegularSection
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "CommSchedule",
     "compute_comm_schedule",
     "compute_comm_schedule_reference",
-    "iter_dim_buckets",
+    "dim_transfers",
 ]
 
 
@@ -155,59 +155,75 @@ def _check_conformable(sec_a: RegularSection, sec_b: RegularSection) -> None:
         )
 
 
-def iter_dim_buckets(
-    dim_a, sec_a: RegularSection, dim_b, sec_b: RegularSection, q: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-destination transfer vectors of one iteration axis, from
-    sender coordinate ``q``.
+def _owners_and_slots(dim, sec: RegularSection, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Owning coordinates and compressed local slots of the first ``n``
+    elements of ``sec`` along one dimension, in iteration order.
 
-    Yields ``(r, iterations, src_slots, dst_slots)`` for every LHS
-    coordinate ``r`` receiving elements from ``q``, ascending in ``r``,
-    each vector sorted by iteration number.  One vectorized pass:
-    sender-side elements from :func:`localized_arrays`, LHS owners and
-    template-local addresses as closed-form divmod arithmetic, LHS
-    compressed slots via the (per-destination) vectorized rank function,
-    and the bucketing as a single ``lexsort`` + boundary split.
+    Closed-form ``cyclic(k)`` arithmetic (:mod:`repro.core.kernels`).
+    Under the identity alignment the compressed slot *is* the
+    template-local address (the stride-1 allocation fills every local
+    cell); otherwise each owner's addresses are ranked within its
+    allocation by :meth:`_DimState.rank_function`, which is cached per
+    coordinate.
+    """
+    layout = dim.layout
+    align = dim.axis_map.alignment
+    indices = np.arange(n, dtype=np.int64)
+    indices *= sec.stride
+    indices += sec.lower
+    owners = owners_of(indices, layout.p, layout.k, align.a, align.b)
+    slots = local_addresses_of(indices, layout.p, layout.k, align.a, align.b)
+    del indices
+    if not align.is_identity:
+        for m in np.flatnonzero(np.bincount(owners, minlength=layout.p)):
+            sel = owners == m
+            slots[sel] = dim.rank_function(int(m)).rank_array(slots[sel])
+    return owners, slots
+
+
+def dim_transfers(
+    dim_a, sec_a: RegularSection, dim_b, sec_b: RegularSection
+) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Transfer vectors of one iteration axis, for every rank pair at once.
+
+    Returns ``(q, r, iterations, src_slots, dst_slots)`` for every RHS
+    coordinate ``q`` sending to LHS coordinate ``r``, ascending in
+    ``(q, r)``, each vector ascending in iteration number.  One
+    vectorized pass over all ``n`` iterations: both sides' owners and
+    slots in closed form, one stable radix ``argsort`` on the narrow key
+    ``q * p_a + r``, and one boundary split into read-only slices.
 
     Shared by the 1-D schedule below and the tensor-product 2-D
     schedule (:mod:`repro.runtime.commsets2d`).
     """
-    b_indices, b_slots = localized_arrays(
-        dim_b.layout.p,
-        dim_b.layout.k,
-        dim_b.extent,
-        dim_b.axis_map.alignment,
-        sec_b,
-        q,
-    )
-    if b_indices.size == 0:
-        return
-    # Iteration numbers: exact division (every element is a section
-    # member), valid for negative strides too.
-    t = (b_indices - sec_b.lower) // sec_b.stride
-    a_indices = sec_a.lower + t * sec_a.stride
-
-    layout_a = dim_a.layout
-    align_a = dim_a.axis_map.alignment
-    p_a, k_a = layout_a.p, layout_a.k
-    dests = owners_of(a_indices, p_a, k_a, align_a.a, align_a.b)
-    addrs = local_addresses_of(a_indices, p_a, k_a, align_a.a, align_a.b)
-
-    order = np.lexsort((t, dests))
-    dests_sorted = dests[order]
-    bounds = np.flatnonzero(np.diff(dests_sorted)) + 1
-    identity = align_a.is_identity
-    for seg in np.split(order, bounds):
-        r = int(dests[seg[0]])
-        if identity:
-            # Stride-1 allocation: the compressed slot *is* the
-            # template-local address.
-            a_slots = addrs[seg]
-        else:
-            ranks = dim_a.rank_function(r)
-            assert ranks is not None
-            a_slots = ranks.rank_array(addrs[seg])
-        yield r, t[seg], b_slots[seg], a_slots
+    n = len(sec_a)
+    if n == 0:
+        return []
+    p_a = dim_a.layout.p
+    # The narrowest unsigned key dtype (uint16 while p_a * p_b < 2**16)
+    # lets NumPy's stable sort take its radix path; int64 keys cost
+    # measurably more on large schedules.
+    key_type = np.min_scalar_type(p_a * dim_b.layout.p)
+    src, src_slots = _owners_and_slots(dim_b, sec_b, n)
+    key = src.astype(key_type)
+    del src
+    key *= key_type.type(p_a)
+    dst, dst_slots = _owners_and_slots(dim_a, sec_a, n)
+    key += dst.astype(key_type)
+    del dst
+    # Stable: within one (q, r) bucket the iterations stay ascending.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    src_slots = src_slots[order]
+    dst_slots = dst_slots[order]
+    for vec in (order, src_slots, dst_slots):
+        vec.flags.writeable = False
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        q, r = divmod(int(key[lo]), p_a)
+        out.append((q, r, order[lo:hi], src_slots[lo:hi], dst_slots[lo:hi]))
+    return out
 
 
 def compute_comm_schedule(
@@ -219,39 +235,26 @@ def compute_comm_schedule(
     """Communication schedule for ``A(sec_a) = B(sec_b)``, vectorized.
 
     The two sections must have equal lengths (conformable statement).
-    Each sending rank contributes one vectorized pass over its own RHS
-    elements -- O(k) table construction plus O(#local elements) vector
-    ops; no per-element Python executes.  Produces transfers
-    element-for-element identical to
+    One pass of :func:`dim_transfers` over all ``n`` iterations and all
+    ranks -- O(n) vector ops plus one O(k) rank-function table per
+    owning rank of a non-identity alignment; no per-element Python
+    executes.  Produces transfers element-for-element identical to
     :func:`compute_comm_schedule_reference`.
     """
     _check_rank1(a, "LHS")
     _check_rank1(b, "RHS")
     _check_conformable(sec_a, sec_b)
-    n = len(sec_a)
-    schedule = CommSchedule(n_iterations=n)
-    if n == 0:
-        return schedule
-
-    dim_a = a._dims[0]
-    dim_b = b._dims[0]
-    for q in range(b.grid.size):
-        for r, t, src_slots, dst_slots in iter_dim_buckets(
-            dim_a, sec_a, dim_b, sec_b, q
-        ):
-            for vec in (t, src_slots, dst_slots):
-                vec.flags.writeable = False
-            transfer = Transfer(
-                source=q,
-                dest=r,
-                iterations=t,
-                src_slots=src_slots,
-                dst_slots=dst_slots,
-            )
-            if q == r:
-                schedule.locals_.append(transfer)
-            else:
-                schedule.transfers.append(transfer)
+    schedule = CommSchedule(n_iterations=len(sec_a))
+    for q, r, t, src_slots, dst_slots in dim_transfers(
+        a._dims[0], sec_a, b._dims[0], sec_b
+    ):
+        transfer = Transfer(
+            source=q, dest=r, iterations=t, src_slots=src_slots, dst_slots=dst_slots
+        )
+        if q == r:
+            schedule.locals_.append(transfer)
+        else:
+            schedule.transfers.append(transfer)
     return schedule
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
-from .commsets import iter_dim_buckets
+from .commsets import dim_transfers
 
 __all__ = ["Transfer2D", "CommSchedule2D", "compute_comm_schedule_2d"]
 
@@ -119,26 +119,6 @@ def _check_rank2(array: DistributedArray, role: str) -> None:
         )
 
 
-def _dim_buckets(
-    a: DistributedArray, dim_a_idx: int, sec_a: RegularSection,
-    b: DistributedArray, dim_b_idx: int, sec_b: RegularSection,
-) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Transfer sets of one iteration axis pairing LHS dimension
-    ``dim_a_idx`` with RHS dimension ``dim_b_idx``: maps ``(q, r)``
-    coordinate pairs to ``(src_slots, dst_slots)`` vectors in increasing
-    iteration order (the shared vectorized pass of
-    :func:`repro.runtime.commsets.iter_dim_buckets`)."""
-    dim_a = a._dims[dim_a_idx]
-    dim_b = b._dims[dim_b_idx]
-    buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for q in range(b.grid.shape[dim_b.axis_map.grid_axis]):
-        for r, _t, src_slots, dst_slots in iter_dim_buckets(
-            dim_a, sec_a, dim_b, sec_b, q
-        ):
-            buckets[(q, r)] = (src_slots, dst_slots)
-    return buckets
-
-
 def compute_comm_schedule_2d(
     a: DistributedArray,
     secs_a: tuple[RegularSection, RegularSection],
@@ -162,8 +142,12 @@ def compute_comm_schedule_2d(
     if 0 in lengths_a:
         return schedule
 
-    buckets = [
-        _dim_buckets(a, e, secs_a[e], b, rhs_dims[e], secs_b[rhs_dims[e]])
+    # Per iteration axis: (q, r, iterations, src_slots, dst_slots) for
+    # every coordinate pair, ascending in (q, r).
+    pairs = [
+        dim_transfers(
+            a._dims[e], secs_a[e], b._dims[rhs_dims[e]], secs_b[rhs_dims[e]]
+        )
         for e in (0, 1)
     ]
     axis_b = [b._dims[rhs_dims[e]].axis_map.grid_axis for e in (0, 1)]
@@ -171,8 +155,8 @@ def compute_comm_schedule_2d(
     # Whether iteration axis e supplies the RHS's *row* (dim 0) slot.
     rhs_is_dim0 = [rhs_dims[e] == 0 for e in (0, 1)]
 
-    for (q0, r0), (bs0, as0) in sorted(buckets[0].items()):
-        for (q1, r1), (bs1, as1) in sorted(buckets[1].items()):
+    for q0, r0, _, bs0, as0 in pairs[0]:
+        for q1, r1, _, bs1, as1 in pairs[1]:
             src_coords = [0, 0]
             src_coords[axis_b[0]], src_coords[axis_b[1]] = q0, q1
             dst_coords = [0, 0]

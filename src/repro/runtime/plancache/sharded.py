@@ -42,7 +42,6 @@ duplicate computes.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Event, Lock
 from typing import Callable, TypeVar
@@ -87,7 +86,11 @@ class _Shard:
 
     def __init__(self) -> None:
         self.lock = Lock()
-        self.data: OrderedDict[object, _Entry] = OrderedDict()
+        # Insertion order is recency order (LRU first): a touch pops and
+        # reinserts.  A plain dict, not an OrderedDict, because the
+        # eviction scan iterates it and OrderedDict iteration rehashes
+        # every (deep, tuple-valued) key.
+        self.data: dict[object, _Entry] = {}
         self.ps: dict[object, frozenset] = {}
         self.inflight: dict[object, _Flight] = {}
 
@@ -225,7 +228,7 @@ class ShardedPlanCache:
                 entry = shard.data.get(key)
                 if entry is not None and not self._expired(entry):
                     entry.freq += 1
-                    shard.data.move_to_end(key)
+                    shard.data[key] = shard.data.pop(key)
                     self._stats.add("hits")
                     obs.inc(f"plancache.{self.name}.hits")
                     return entry.value
@@ -268,8 +271,8 @@ class ShardedPlanCache:
 
     def _insert(self, shard: _Shard, key, value, ps, obs, freq: int = 1) -> None:
         with shard.lock:
+            shard.data.pop(key, None)
             shard.data[key] = _Entry(value, max(1, freq), self._expiry())
-            shard.data.move_to_end(key)
             if ps:
                 shard.ps[key] = frozenset(ps)
             else:
@@ -312,7 +315,7 @@ class ShardedPlanCache:
                 return False, None
             if touch and not self._expired(entry):
                 entry.freq += 1
-                shard.data.move_to_end(key)
+                shard.data[key] = shard.data.pop(key)
                 self._stats.add("hits")
                 ambient().inc(f"plancache.{self.name}.hits")
             return True, entry.value

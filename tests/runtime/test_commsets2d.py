@@ -135,6 +135,94 @@ class TestSchedule:
         assert sched.total_elements == 144
 
 
+def scalar_schedule_2d(a, secs_a, b, secs_b, rhs_dims):
+    """``{(source, dest): (src_slots, dst_slots)}`` of a 2-D statement,
+    one element at a time from the per-dimension ``owner`` /
+    ``local_slot`` calls, odometer order (iteration axis 0 slowest)."""
+
+    def place(array, index):
+        coords, slots = [0, 0], []
+        for d, dim in enumerate(array._dims):
+            coord = dim.owner(index[d])
+            coords[dim.axis_map.grid_axis] = coord
+            slots.append(dim.local_slot(index[d], coord))
+        rank = array.grid.linearize(tuple(coords))
+        return rank, slots[0] * array.local_shape(rank)[1] + slots[1]
+
+    out: dict = {}
+    for t0 in range(len(secs_a[0])):
+        for t1 in range(len(secs_a[1])):
+            ts = (t0, t1)
+            index_a = (secs_a[0].element(t0), secs_a[1].element(t1))
+            index_b = [0, 0]
+            for e in (0, 1):
+                index_b[rhs_dims[e]] = secs_b[rhs_dims[e]].element(ts[e])
+            dst, dst_slot = place(a, index_a)
+            src, src_slot = place(b, index_b)
+            slots = out.setdefault((src, dst), ([], []))
+            slots[0].append(src_slot)
+            slots[1].append(dst_slot)
+    return out
+
+
+@st.composite
+def schedule_2d_params(draw):
+    """A conformable 2-D statement: each array on its own grid (sizes may
+    differ), either grid-axis order, per-dimension block sizes and
+    affine alignments (incl. ``a < 0``), sections that may be strided,
+    negative-stride or empty, and elementwise or transpose pairing."""
+    rhs_dims = draw(st.sampled_from([(0, 1), (1, 0)]))
+    lengths = [draw(st.integers(min_value=0, max_value=6)) for _ in (0, 1)]
+
+    def array(name, lengths_by_dim):
+        grid = ProcessorGrid("G" + name, tuple(
+            draw(st.integers(min_value=1, max_value=3)) for _ in (0, 1)
+        ))
+        axes = draw(st.sampled_from([(0, 1), (1, 0)]))
+        shape, maps, secs = [], [], []
+        for d, length in enumerate(lengths_by_dim):
+            n = draw(st.integers(min_value=max(length, 1), max_value=14))
+            a = draw(st.sampled_from([1, 1, 2, -1]))
+            b = draw(st.integers(min_value=0, max_value=3)) + (-a * (n - 1) if a < 0 else 0)
+            k = draw(st.integers(min_value=1, max_value=4))
+            if length == 0:
+                sec = RegularSection(0, -1, 1)
+            else:
+                s = draw(st.integers(min_value=1, max_value=max(1, (n - 1) // max(length - 1, 1))))
+                lo = draw(st.integers(min_value=0, max_value=n - 1 - (length - 1) * s))
+                hi = lo + (length - 1) * s
+                sec = draw(st.sampled_from(
+                    [RegularSection(lo, hi, s), RegularSection(hi, lo, -s)]
+                ))
+            shape.append(n)
+            maps.append(AxisMap(CyclicK(k), Alignment(a, b), grid_axis=axes[d]))
+            secs.append(sec)
+        return DistributedArray(name, tuple(shape), grid, tuple(maps)), tuple(secs)
+
+    a, secs_a = array("A", lengths)
+    # RHS dimension rhs_dims[e] carries iteration axis e.
+    b, secs_b = array("B", [lengths[rhs_dims.index(d)] for d in (0, 1)])
+    return a, secs_a, b, secs_b, rhs_dims
+
+
+class TestAgainstScalarEnumeration:
+    @given(schedule_2d_params())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_enumeration(self, params):
+        a, secs_a, b, secs_b, rhs_dims = params
+        sched = compute_comm_schedule_2d(a, secs_a, b, secs_b, rhs_dims)
+        got = {
+            (tr.source, tr.dest): (
+                [int(x) for x in tr.src_slots], [int(x) for x in tr.dst_slots]
+            )
+            for tr in sched.locals_ + sched.transfers
+        }
+        assert len(got) == len(sched.locals_) + len(sched.transfers)
+        assert got == scalar_schedule_2d(a, secs_a, b, secs_b, rhs_dims)
+        assert all(tr.source == tr.dest for tr in sched.locals_)
+        assert all(tr.source != tr.dest for tr in sched.transfers)
+
+
 class TestExecution:
     def _run(self, a, b, secs_a, secs_b, host_b):
         vm = VirtualMachine(a.grid.size)

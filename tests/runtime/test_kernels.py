@@ -240,6 +240,35 @@ def schedule_params(draw):
     return p, n, k1, k2, sec_a, sec_b
 
 
+@st.composite
+def affine_schedule_params(draw):
+    """Conformable ``(A, sec_a, B, sec_b)`` with independent ``p``, ``k``,
+    extent and affine alignment (incl. ``a < 0``) on each side; sections
+    may be strided, negative-stride or empty."""
+    length = draw(st.integers(min_value=0, max_value=30))
+    sides = []
+    for name in "AB":
+        p = draw(st.integers(min_value=1, max_value=5))
+        k = draw(st.integers(min_value=1, max_value=8))
+        n = draw(st.integers(min_value=max(length, 1), max_value=48))
+        a = draw(st.sampled_from([1, 1, 2, 3, -1, -2]))
+        b = draw(st.integers(min_value=0, max_value=6)) + (-a * (n - 1) if a < 0 else 0)
+        if length == 0:
+            lo = draw(st.integers(min_value=0, max_value=n - 1))
+            sec = draw(st.sampled_from(
+                [RegularSection(lo, lo - 1, 1), RegularSection(lo, lo + 1, -2)]
+            ))
+        else:
+            s = draw(st.integers(min_value=1, max_value=max(1, (n - 1) // max(length - 1, 1))))
+            lo = draw(st.integers(min_value=0, max_value=n - 1 - (length - 1) * s))
+            hi = lo + (length - 1) * s
+            sec = draw(st.sampled_from(
+                [RegularSection(lo, hi, s), RegularSection(hi, lo, -s)]
+            ))
+        sides += [make_1d(name, n, p, k, a, b), sec]
+    return tuple(sides)
+
+
 class TestVectorizedSchedule:
     @given(schedule_params())
     @settings(max_examples=150, deadline=None)
@@ -275,6 +304,23 @@ class TestVectorizedSchedule:
             t.astuples() for t in ref.locals_ + ref.transfers
         ]
 
+
+    @given(affine_schedule_params())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_affine_both_sides(self, params):
+        a, sec_a, b, sec_b = params
+        vec = compute_comm_schedule(a, sec_a, b, sec_b)
+        ref = compute_comm_schedule_reference(a, sec_a, b, sec_b)
+        assert vec.n_iterations == ref.n_iterations
+        assert [t.astuples() for t in vec.locals_] == [
+            t.astuples() for t in ref.locals_
+        ]
+        assert [t.astuples() for t in vec.transfers] == [
+            t.astuples() for t in ref.transfers
+        ]
+        for t in vec.locals_ + vec.transfers:
+            for v in (t.iterations, t.src_slots, t.dst_slots):
+                assert not v.flags.writeable
 
 class TestVectorizedDistributeCollect:
     @given(

@@ -183,6 +183,45 @@ class TestTTL:
         assert cache.evict_expired() == 0
 
 
+class TestLruTieBreak:
+    """Among equal-frequency entries of one shard the least recently
+    used is evicted first, and every kind of touch makes a key most
+    recent.  ``hash(i) == i`` for small ints, so with 4 shards the keys
+    0, 4, 8, ... share shard 0 (3 slots) and 1 sits alone in shard 1."""
+
+    @pytest.mark.parametrize(
+        "touch, seed_freq",
+        [
+            (lambda c: c.get_or_compute(0, lambda: "WRONG"), 1),
+            (lambda c: c.peek(0, touch=True), 1),
+            (lambda c: c.put(0, "v0", freq=2), 2),
+        ],
+        ids=["hit", "peek-touch", "put-existing"],
+    )
+    def test_touched_key_is_evicted_last(self, touch, seed_freq):
+        cache = ShardedPlanCache("t", maxsize=12, shards=4)
+        cache.put(1, "other-shard")
+        cache.put(0, "v0", freq=seed_freq)
+        cache.put(4, "v4", freq=2)
+        cache.put(8, "v8", freq=2)
+        touch(cache)  # 0 now ties at freq 2 and is the most recent
+        survivors = []
+        for heavy in (12, 16, 20):
+            cache.put(heavy, "hot", freq=10)  # evicts one freq-2 entry
+            survivors.append([k for k in (0, 4, 8) if cache.peek(k)[0]])
+        assert survivors == [[0, 8], [0], []]
+        assert cache.peek(1) == (True, "other-shard")
+        assert cache.evictions == 3
+
+    def test_untouched_peek_keeps_order(self):
+        cache = ShardedPlanCache("t", maxsize=12, shards=4)
+        for key in (0, 4, 8):
+            cache.put(key, key)
+        assert cache.peek(0) == (True, 0)  # no touch: 0 stays least recent
+        cache.put(12, "hot", freq=10)
+        assert [k for k in (0, 4, 8) if cache.peek(k)[0]] == [4, 8]
+
+
 class TestLongRunningStats:
     def test_reset_stats_keeps_every_entry(self):
         cache = ShardedPlanCache("t", maxsize=64, shards=4)
