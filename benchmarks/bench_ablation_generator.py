@@ -8,11 +8,11 @@ small penalty in the execution time."
 import numpy as np
 import pytest
 
+from repro.bench.nodecode import fill_shape_b
 from repro.bench.workloads import PAPER_P
 from repro.core.counting import local_allocation_size, local_count
 from repro.core.generator import RLCursor
 from repro.runtime.address import make_plan
-from repro.runtime.codegen import fill_shape_b
 
 K, S = 64, 9
 RANK = PAPER_P // 2

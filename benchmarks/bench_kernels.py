@@ -5,29 +5,29 @@ Times the runtime's hot paths and writes the results as
 machine-readable rows to ``BENCH_kernels.json``:
 
 * ``scalar``     -- the element-at-a-time reference implementations
-  (``compute_comm_schedule_reference``, ``distribute_reference``,
-  ``collect_reference``, ``localized_elements``, and the interpreted
-  Figure 8 fill loops);
+  (:mod:`repro.oracle`, ``localized_elements``, and the interpreted
+  Figure 8 fill loops of :mod:`repro.bench.nodecode`);
 * ``vectorized`` -- the NumPy closed-form kernels with cold plan caches
   (every call constructs its plans afresh);
 * ``cached``     -- the same calls with warm plan caches (the
   steady-state of an iterative solver re-running one statement);
-* ``native``     -- the compiled-kernel subsystem
-  (:mod:`repro.runtime.native`): the emitted Figure 8 node code as a
-  cached .so, dispatched in-process.  The ``fill_*`` benchmarks run the
-  Table 2 grid through both the interpreter and the native kernels;
-  rows are skipped (with a note in the report) when no C compiler is
+* ``native``     -- compiled C through the hashed .so cache of
+  :mod:`repro.runtime.native.build`.  The ``fill_*`` benchmarks run the
+  Table 2 grid through both the interpreted and the table-driven C
+  Figure 8 shapes (:func:`repro.bench.nodecode.compiled_shapes`); rows
+  are skipped (with a note in the report) when no C compiler is
   usable.
 
 Before timing anything the script cross-checks every vectorized path
 against its scalar oracle over a sweep of randomized configurations
 (including affine alignments, strided/negative-stride sections, empty
-owners), cross-checks the compiled kernels against the interpreted
-shapes on randomized plans, and **exits nonzero on any mismatch** -- CI
-runs it with ``--quick`` as a correctness smoke test.  After the native
-timings it re-runs every native fill from a cold process-state against
-the warm on-disk cache and exits nonzero if that pass performed any
-compilation (the cache contract: warm runs never invoke cc).
+owners), cross-checks the compiled shapes and the runtime kernels
+(:mod:`repro.runtime.native`) against the interpreted shapes on
+randomized plans, and **exits nonzero on any mismatch** -- CI runs it
+with ``--quick`` as a correctness smoke test.  After the native timings
+it re-runs every native fill from a cold process-state against the warm
+on-disk cache and exits nonzero if that pass performed any compilation
+(the cache contract: warm runs never invoke cc).
 
 Usage::
 
@@ -56,22 +56,26 @@ from repro.distribution import (
     localized_elements,
 )
 from repro.bench.environment import environment_metadata
+from repro.bench.nodecode import SHAPES, compiled_shapes
 from repro.bench.workloads import Table2Case, table2_cases
 from repro.core.counting import local_allocation_size
 from repro.machine.vm import VirtualMachine
+from repro.oracle import (
+    collect_reference,
+    compute_comm_schedule_reference,
+    distribute_reference,
+)
 from repro.runtime import (
     cache_stats,
     cached_comm_schedule,
     cached_localized_arrays,
     clear_plan_caches,
     collect,
-    collect_reference,
     compute_comm_schedule,
-    compute_comm_schedule_reference,
     distribute,
-    distribute_reference,
-    get_shape,
+    execute_fill,
     make_plan,
+    materialize_addresses,
     native_available,
 )
 from repro.runtime.native import get_runtime_kernels, reset_native_state
@@ -165,12 +169,15 @@ def verify(draws: int, seed: int = 20260806) -> list[str]:
 
 
 def verify_native(draws: int, seed: int = 20260807) -> list[str]:
-    """Cross-check the compiled kernels against the interpreted Figure 8
-    shapes on randomized plans; empty list when no compiler is usable
-    (nothing to check -- dispatch falls back to the verified paths)."""
+    """Cross-check the compiled Figure 8 shapes (a)-(d) and the runtime's
+    indexed fill (shape v) against the interpreted shapes on randomized
+    plans, and the pack/unpack kernels against fancy indexing; empty
+    list when no compiler is usable (nothing to check -- dispatch falls
+    back to the verified paths)."""
     kernels = get_runtime_kernels()
     if kernels is None:
         return []
+    compiled = compiled_shapes()
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     for i in range(draws):
@@ -186,9 +193,14 @@ def verify_native(draws: int, seed: int = 20260807) -> list[str]:
         value = float(rng.standard_normal())
         for shape in "abcdv":
             ref = np.zeros(size)
-            want = get_shape(shape, native=False)(ref, plan, value)
+            want = SHAPES[shape](ref, plan, value)
             got_mem = np.zeros(size)
-            got = kernels.fill(got_mem, plan, value, shape)
+            if shape == "v":
+                got = kernels.fill_indexed(
+                    got_mem, materialize_addresses(plan), value
+                )
+            else:
+                got = compiled[shape](got_mem, plan, value)
             if got != want or not np.array_equal(got_mem, ref):
                 failures.append(f"fill mismatch: {tag} shape={shape}")
         if size:
@@ -310,14 +322,14 @@ def bench_fill_shapes(cases: list[Table2Case], repeats: int) -> list[dict]:
     on every grid cell, interpreted vs compiled.  Native rows are
     omitted when no compiler is usable."""
     rows = []
-    with_native = native_available()
+    compiled = compiled_shapes() if native_available() else None
     for bench, shape, plan, memory in _fill_cells(cases):
-        interp = get_shape(shape, native=False)
+        interp = SHAPES[shape]
         t = timeit(lambda: interp(memory, plan, 100.0), repeats)
         rows.append({"benchmark": bench, "variant": "scalar", "seconds": t,
                      "n": plan.count, "p": plan.p})
-        if with_native:
-            nat = get_shape(shape, native=True)
+        if compiled is not None:
+            nat = compiled[shape]
             t = timeit(lambda: nat(memory, plan, 100.0), max(repeats, 20))
             rows.append({"benchmark": bench, "variant": "native", "seconds": t,
                          "n": plan.count, "p": plan.p})
@@ -326,8 +338,10 @@ def bench_fill_shapes(cases: list[Table2Case], repeats: int) -> list[dict]:
 
 def warm_cache_check(cases: list[Table2Case]) -> list[str]:
     """Re-run every native fill after dropping all in-process native
-    state: the on-disk cache is warm, so the pass must dlopen existing
-    artifacts and perform **zero** compilations.  Returns violations."""
+    state -- each compiled Figure 8 shape on its Table 2 cell, and one
+    runtime ``execute_fill`` with native dispatch: the on-disk cache is
+    warm, so the pass must dlopen existing artifacts and perform
+    **zero** compilations.  Returns violations."""
     if not native_available():
         return []
     from repro.obs import Observability, set_ambient
@@ -335,12 +349,20 @@ def warm_cache_check(cases: list[Table2Case]) -> list[str]:
     reset_native_state()  # forget handles; disk cache stays
     obs = Observability()
     prev = set_ambient(obs)
+    problems = []
     try:
-        for _, shape, plan, memory in _fill_cells(cases):
-            get_shape(shape, native=True)(memory, plan, 100.0)
+        compiled = compiled_shapes()
+        for bench, shape, plan, memory in _fill_cells(cases):
+            written = compiled[shape](memory, plan, 100.0)
+            if written != plan.count:
+                problems.append(f"warm-cache {bench} wrote {written} of "
+                                f"{plan.count} elements")
+        arr = make_1d("W", 64, 4, 3)
+        vm = VirtualMachine(4)
+        distribute(vm, arr, np.zeros(64))
+        execute_fill(vm, arr, (RegularSection(1, 62, 3),), 1.0, native=True)
     finally:
         set_ambient(prev)
-    problems = []
     compiles = obs.metrics.value("native.compile")
     if compiles:
         problems.append(

@@ -54,9 +54,8 @@ def test_comm_schedule(benchmark, kb):
     assert sched.total_elements == len(sec)
 
 
-@pytest.mark.parametrize("shape", ["b", "d", "v"])
 @pytest.mark.benchmark(max_time=0.5, min_rounds=3)
-def test_statement_fill(benchmark, shape):
+def test_statement_fill(benchmark):
     """Whole A(l:u:s) = scalar statement on an 8-rank machine."""
     benchmark.group = "runtime-fill"
     p, n = 8, 65_536
@@ -64,7 +63,7 @@ def test_statement_fill(benchmark, shape):
     vm = VirtualMachine(p)
     distribute(vm, arr, np.zeros(n))
     sec = RegularSection(3, n - 1, 7)
-    written = benchmark(execute_fill, vm, arr, (sec,), 1.0, shape)
+    written = benchmark(execute_fill, vm, arr, (sec,), 1.0)
     assert written == len(sec)
 
 

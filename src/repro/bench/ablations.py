@@ -22,7 +22,7 @@ from ..core.baselines.special import special_access_table
 from ..core.counting import local_allocation_size, local_count
 from ..core.generator import RLCursor
 from ..runtime.address import make_plan
-from ..runtime.codegen import fill_shape_b
+from .nodecode import fill_shape_b
 from .report import format_table
 from .timers import time_us
 from .workloads import PAPER_P, TABLE1_BLOCK_SIZES

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.counting import local_allocation_size
 from ..runtime.address import make_plan
-from ..runtime.codegen import SHAPES
+from .nodecode import SHAPES
 from .report import format_markdown, format_table
 from .timers import time_us
 from .workloads import PAPER_P, Table2Case, table2_cases

@@ -3,7 +3,7 @@
 The Python Table 2 (:mod:`repro.bench.table2`) compresses the paper's
 shape ratios because the interpreter dominates; this harness closes the
 platform gap: for every Table 2 cell it *emits the C node code* the
-compiler would generate (:mod:`repro.runtime.emit_c`), builds it through
+compiler would generate (:mod:`repro.bench.nodecode`), builds it through
 the hashed native artifact cache (:mod:`repro.runtime.native.build` --
 one shared object per (plan, shape) descriptor, compiled once ever, not
 once per run), loads it in-process, and tabulates the best
@@ -24,8 +24,8 @@ import ctypes
 
 from ..core.counting import local_allocation_size
 from ..runtime.address import make_plan
-from ..runtime.emit_c import emit_timing_library
 from ..runtime.native.build import NativeBuildError, find_compiler, load_library
+from .nodecode import emit_timing_library
 from .report import format_markdown, format_table
 from .workloads import PAPER_P, Table2Case, table2_cases
 

@@ -17,12 +17,9 @@ The compilation pipeline a real HPF compiler would run, in miniature:
    Section 6.1 describes).  Fill access plans are built at a fill's
    first run (through the plan cache) and reused by every later run.
 
-Rank-1 fills run the vectorized ΔM expansion (shape ``v``) in every
-native mode: NumPy's table walk by default, the compiled kernel's when
-native kernels serve the call (``REPRO_NATIVE=on``).  Passing
-``default_shape`` pins one of the Figure 8 letters instead (a pinned
-``d`` runs as ``b`` under an affine alignment); the interpreted shapes
-a-d remain the Table 2 subjects and the reference semantics.
+Fills run :func:`repro.runtime.exec.execute_fill`'s one path: each
+rank's local addresses, then one indexed store (NumPy by default,
+compiled when native kernels serve the call, ``REPRO_NATIVE=on``).
 
 :class:`CompiledProgram.run` executes the statement list on a
 :class:`repro.machine.VirtualMachine`.
@@ -158,7 +155,7 @@ def _resolve_format(fmt: str, k: int | None):
     return CyclicK(k)
 
 
-def compile_program(program: Program, *, default_shape: str = "v") -> CompiledProgram:
+def compile_program(program: Program) -> CompiledProgram:
     """Lower a parsed :class:`Program`; see module docstring."""
     if len(program.processors) != 1:
         raise CompileError(
@@ -292,14 +289,9 @@ def compile_program(program: Program, *, default_shape: str = "v") -> CompiledPr
             array = resolve(stmt.target)
             secs = _check_bounds(stmt.target, array)
             value = stmt.value
-            shape_choice = default_shape
-            if array.rank == 1 and not array.axis_maps[0].alignment.is_identity:
-                if shape_choice == "d":
-                    shape_choice = "b"  # shape (d) needs identity alignment
 
-            def run_fill(vm, array=array, secs=secs, value=value,
-                         shape_choice=shape_choice):
-                return execute_fill(vm, array, secs, value, shape=shape_choice)
+            def run_fill(vm, array=array, secs=secs, value=value):
+                return execute_fill(vm, array, secs, value)
 
             statements.append(LoweredStatement(
                 f"{stmt.target.array}({_format_sections(secs)}) = {value}",
@@ -424,6 +416,6 @@ def compile_program(program: Program, *, default_shape: str = "v") -> CompiledPr
     return CompiledProgram(grid, arrays, statements)
 
 
-def compile_source(source: str, *, default_shape: str = "v") -> CompiledProgram:
+def compile_source(source: str) -> CompiledProgram:
     """Parse + compile in one step."""
-    return compile_program(parse_program(source), default_shape=default_shape)
+    return compile_program(parse_program(source))

@@ -8,7 +8,7 @@ JSON-lines and text-summary exports.  Programs::
     copy          A(0:n-1) = B(0:n-1) across two cyclic layouts
     redistribute  whole-array cyclic(k_src) -> cyclic(k_dst)
     transpose     distributed A = B^T on a 2x2 grid
-    fill          strided section fill, all four node-code shapes
+    fill          strided section fill
     resilient     fault-injected checkpointed resilient redistribution
 
 Examples::
@@ -98,8 +98,7 @@ def _run_fill(vm, args) -> None:
     distribute(vm, a, np.zeros(n))
     sec = (RegularSection(0, n - 1, 3),)
     for _ in range(args.repeat):
-        for shape in "abcv":
-            execute_fill(vm, a, sec, 1.0, shape=shape)
+        execute_fill(vm, a, sec, 1.0)
 
 
 def _run_resilient(vm, args) -> None:

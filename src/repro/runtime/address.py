@@ -25,7 +25,13 @@ from ..distribution.localize import localize_section
 from ..distribution.section import RegularSection
 from .plancache import cached_localized_arrays
 
-__all__ = ["AccessPlan", "make_plan", "make_array_plan", "flat_local_addresses"]
+__all__ = [
+    "AccessPlan",
+    "make_plan",
+    "make_array_plan",
+    "materialize_addresses",
+    "flat_local_addresses",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,38 +59,6 @@ class AccessPlan:
     @property
     def is_empty(self) -> bool:
         return self.count == 0
-
-    def descending(self) -> "AccessPlan":
-        """The same bounded traversal in *decreasing* index order.
-
-        The paper's Section 2 treats negative strides "analogously"; in
-        table terms, the descending walk starts at the last owned
-        element and follows the ascending cycle's gaps reversed and
-        negated, rotated so the anchor is the last element's position in
-        the cycle.  Shape-(d) tables are direction-specific and are not
-        carried over (``start_offset is None``); use shapes a-c or the
-        dedicated descending filler.
-        """
-        if self.is_empty:
-            return self
-        pos_last = (self.count - 1) % self.length
-        gaps = tuple(
-            -self.delta_m[(pos_last - 1 - j) % self.length]
-            for j in range(self.length)
-        )
-        return AccessPlan(
-            p=self.p,
-            k=self.k,
-            m=self.m,
-            count=self.count,
-            length=self.length,
-            start_local=self.last_local,
-            last_local=self.start_local,
-            delta_m=gaps,
-            start_offset=None,
-            delta_m_by_offset=(),
-            next_offset=(),
-        )
 
 
 def make_plan(p: int, k: int, l: int, u: int, s: int, m: int) -> AccessPlan:
@@ -172,6 +146,26 @@ def make_array_plan(
         delta_m_by_offset=(),
         next_offset=(),
     )
+
+
+def materialize_addresses(plan: AccessPlan) -> np.ndarray:
+    """All local addresses the plan covers, as one NumPy array.
+
+    ``start + cumsum(tile(gaps))`` -- the vectorized equivalent of the
+    Figure 8 table walk, and the address vector every rank-1 fill stores
+    through.
+    """
+    if plan.count == 0:
+        return np.empty(0, dtype=np.int64)
+    gaps = np.asarray(plan.delta_m, dtype=np.int64)
+    reps = -(-plan.count // plan.length)  # ceil
+    steps = np.tile(gaps, reps)[: plan.count - 1]
+    out = np.empty(plan.count, dtype=np.int64)
+    out[0] = plan.start_local
+    if plan.count > 1:
+        np.cumsum(steps, out=out[1:])
+        out[1:] += plan.start_local
+    return out
 
 
 def flat_local_addresses(

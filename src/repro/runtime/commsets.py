@@ -17,9 +17,9 @@ through one cached rank function per owning coordinate), orders them by
 on a narrow unsigned key, and cuts the :class:`Transfer` buckets with
 one boundary split.  The paper's ΔM tables still drive fills,
 distribute/collect and :func:`repro.distribution.localize.localize_section`.
-:func:`compute_comm_schedule_reference` keeps the original
-element-at-a-time loop over each sender's localized elements as the
-oracle the property tests and benchmarks compare against.
+:func:`repro.oracle.compute_comm_schedule_reference` keeps the
+original element-at-a-time loop over each sender's localized elements as
+the oracle the property tests and benchmarks compare against.
 
 Rank-1 arrays on rank-1 grids are supported directly; multidimensional
 statements decompose per-dimension at the :mod:`repro.runtime.exec`
@@ -34,14 +34,12 @@ import numpy as np
 
 from ..core.kernels import local_addresses_of, owners_of
 from ..distribution.array import DistributedArray
-from ..distribution.localize import localized_elements
 from ..distribution.section import RegularSection
 
 __all__ = [
     "Transfer",
     "CommSchedule",
     "compute_comm_schedule",
-    "compute_comm_schedule_reference",
     "dim_transfers",
 ]
 
@@ -239,7 +237,7 @@ def compute_comm_schedule(
     ranks -- O(n) vector ops plus one O(k) rank-function table per
     owning rank of a non-identity alignment; no per-element Python
     executes.  Produces transfers element-for-element identical to
-    :func:`compute_comm_schedule_reference`.
+    :func:`repro.oracle.compute_comm_schedule_reference`.
     """
     _check_rank1(a, "LHS")
     _check_rank1(b, "RHS")
@@ -250,61 +248,6 @@ def compute_comm_schedule(
     ):
         transfer = Transfer(
             source=q, dest=r, iterations=t, src_slots=src_slots, dst_slots=dst_slots
-        )
-        if q == r:
-            schedule.locals_.append(transfer)
-        else:
-            schedule.transfers.append(transfer)
-    return schedule
-
-
-def compute_comm_schedule_reference(
-    a: DistributedArray,
-    sec_a: RegularSection,
-    b: DistributedArray,
-    sec_b: RegularSection,
-) -> CommSchedule:
-    """Element-at-a-time schedule construction (the original scalar
-    path), kept as the oracle for :func:`compute_comm_schedule` --
-    property tests assert both produce identical transfers, and the
-    kernel benchmarks report the speedup between them."""
-    _check_rank1(a, "LHS")
-    _check_rank1(b, "RHS")
-    _check_conformable(sec_a, sec_b)
-    n = len(sec_a)
-    schedule = CommSchedule(n_iterations=n)
-    if n == 0:
-        return schedule
-
-    dim_a = a._dims[0]
-    dim_b = b._dims[0]
-    p_b = b.grid.size
-
-    buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for q in range(p_b):
-        pairs = localized_elements(
-            dim_b.layout.p,
-            dim_b.layout.k,
-            dim_b.extent,
-            dim_b.axis_map.alignment,
-            sec_b,
-            q,
-        )
-        for b_index, b_slot in pairs:
-            t = sec_b.position_of(b_index)
-            a_index = sec_a.element(t)
-            r = dim_a.owner(a_index)
-            a_slot = dim_a.local_slot(a_index, r)
-            buckets.setdefault((q, r), []).append((t, b_slot, a_slot))
-
-    for (q, r), triples in sorted(buckets.items()):
-        triples.sort()
-        transfer = Transfer(
-            source=q,
-            dest=r,
-            iterations=tuple(t for t, _, _ in triples),
-            src_slots=tuple(bs for _, bs, _ in triples),
-            dst_slots=tuple(asl for _, _, asl in triples),
         )
         if q == r:
             schedule.locals_.append(transfer)

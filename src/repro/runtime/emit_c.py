@@ -1,299 +1,36 @@
-"""Emit the paper's Figure 8 node code as C source.
+"""Emit the runtime's compiled kernel library as C.
 
-An HPF compiler does not interpret ΔM tables -- it *emits node code*
-that walks them.  This module produces that C, faithful to the paper's
-Figure 8 fragments (shapes (a)-(d)) for the statement
-``A(l:u:s) = value``, with the computed tables embedded as static
-initializers when the distribution parameters are compile-time
-constants (the paper's Section 6.1 scenario), or with a call to the
-runtime constructor when they are not.
-
-The emitted code is self-contained C89 (plus a ``main`` harness option)
-so it can be eyeballed against the paper or compiled elsewhere; the
-Python test suite checks its structure and -- via a tiny C interpreter
-shim -- its address stream.
-
-Beyond the eyeballable fragments, this module also emits *library*
-translation units for the compiled-kernel subsystem
-(:mod:`repro.runtime.native`): :func:`emit_runtime_kernels` produces the
-generic table-driven node-code shapes plus the ΔM-driven pack/unpack
-(gather/scatter) loops with ``extern`` entry points, and
-:func:`emit_timing_library` wraps one specialized plan's node code in a
-natively timed entry point.  Both are ``-fPIC``-able C99 with no
-dependencies beyond libc, built and cached by
-:mod:`repro.runtime.native.build`.
+:func:`emit_runtime_kernels` produces one ``-fPIC``-able C99
+translation unit with ``extern`` entry points and no dependencies beyond
+libc: the indexed fill behind :func:`repro.runtime.exec.execute_fill`
+and the pack/unpack (gather/scatter) loops behind the executors and the
+resilient exchange.  :mod:`repro.runtime.native.build` compiles and
+caches it; :mod:`repro.runtime.native` loads it.  The Figure 8 node-code
+emitters -- the Table 2 experiment -- live in :mod:`repro.bench.nodecode`.
 """
 
 from __future__ import annotations
 
-from .address import AccessPlan
-
 __all__ = [
     "EMITTER_VERSION",
     "KERNELS_ABI",
-    "emit_node_code",
-    "emit_harness",
-    "emit_timing_harness",
     "emit_runtime_kernels",
-    "emit_timing_library",
 ]
 
 #: Version of the emitted C.  Part of every native-cache descriptor hash
 #: (:mod:`repro.runtime.native.build`), so changing any emitter output
 #: MUST bump this -- stale cached .so files would otherwise keep serving
 #: the old code.
-EMITTER_VERSION = 1
+EMITTER_VERSION = 2
 
-_HEADERS = {
-    "a": "shape (a): cycle the table index with mod (Figure 8(a))",
-    "b": "shape (b): compare-and-reset (Figure 8(b))",
-    "c": "shape (c): for loop + goto done (Figure 8(c))",
-    "d": "shape (d): two-table lookup by local offset (Figure 8(d))",
-}
-
-
-def _static_int_array(name: str, values) -> str:
-    body = ", ".join(str(v) for v in values)
-    return f"static const long {name}[{max(len(values), 1)}] = {{{body}}};"
-
-
-def emit_node_code(plan: AccessPlan, shape: str, value: float = 100.0) -> str:
-    """C function ``node_code(double *A)`` for one processor's share of
-    ``A(l:u:s) = value`` using the given Figure 8 shape."""
-    if shape not in _HEADERS:
-        raise ValueError(f"unknown shape {shape!r}; choose from {sorted(_HEADERS)}")
-    if plan.is_empty:
-        return (
-            f"/* {_HEADERS[shape]} -- this processor owns no section elements */\n"
-            "void node_code(double *A) { (void)A; }\n"
-        )
-    if shape == "d" and plan.start_offset is None:
-        raise ValueError("shape 'd' needs offset-indexed tables (identity alignment)")
-
-    lines = [f"/* {_HEADERS[shape]} */"]
-    lines.append(f"#define STARTMEM {plan.start_local}")
-    lines.append(f"#define LASTMEM  {plan.last_local}")
-    lines.append(f"#define LENGTH   {plan.length}")
-    if shape == "d":
-        lines.append(f"#define STARTOFFSET {plan.start_offset}")
-        lines.append(_static_int_array("deltaM", plan.delta_m_by_offset))
-        lines.append(_static_int_array("NextOffset", plan.next_offset))
-    else:
-        lines.append(_static_int_array("deltaM", plan.delta_m))
-    lines.append("")
-    lines.append("void node_code(double *A)")
-    lines.append("{")
-    if shape == "a":
-        lines.extend([
-            "    double *base = A + STARTMEM;",
-            "    long i = 0;",
-            "    while (base <= A + LASTMEM) {",
-            f"        *base = {value};",
-            "        base += deltaM[i];",
-            "        i = (i + 1) % LENGTH;",
-            "    }",
-        ])
-    elif shape == "b":
-        lines.extend([
-            "    double *base = A + STARTMEM;",
-            "    long i = 0;",
-            "    while (base <= A + LASTMEM) {",
-            f"        *base = {value};",
-            "        base += deltaM[i++];",
-            "        if (i == LENGTH) i = 0;",
-            "    }",
-        ])
-    elif shape == "c":
-        lines.extend([
-            "    double *base = A + STARTMEM;",
-            "    long i;",
-            "    while (1) {",
-            "        for (i = 0; i < LENGTH; i++) {",
-            f"            *base = {value};",
-            "            base += deltaM[i];",
-            "            if (base > A + LASTMEM) goto done;",
-            "        }",
-            "    }",
-            "done: ;",
-        ])
-    else:  # shape == "d"
-        lines.extend([
-            "    double *base = A + STARTMEM;",
-            "    long i = STARTOFFSET;",
-            "    while (base <= A + LASTMEM) {",
-            f"        *base = {value};",
-            "        base += deltaM[i];",
-            "        i = NextOffset[i];",
-            "    }",
-        ])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_harness(plan: AccessPlan, shape: str, memory_size: int,
-                 value: float = 100.0) -> str:
-    """Complete C program: the node code plus a ``main`` that prints the
-    written addresses in order (one per line) -- the address stream the
-    tests compare against the Python shapes."""
-    node = emit_node_code(plan, shape, value)
-    return (
-        "#include <stdio.h>\n"
-        "#include <stdlib.h>\n\n"
-        + node
-        + "\n"
-        "int main(void)\n"
-        "{\n"
-        f"    double *A = calloc({memory_size}, sizeof(double));\n"
-        "    long i;\n"
-        "    node_code(A);\n"
-        f"    for (i = 0; i < {memory_size}; i++)\n"
-        f"        if (A[i] == {value}) printf(\"%ld\\n\", i);\n"
-        "    free(A);\n"
-        "    return 0;\n"
-        "}\n"
-    )
-
-
-def emit_timing_harness(plan: AccessPlan, shape: str, memory_size: int,
-                        value: float = 100.0) -> str:
-    """C program that times ``node_code`` and prints the best
-    per-invocation microseconds.
-
-    ``argv[1]`` chooses the repetition count (default 1000); the minimum
-    over repetitions is printed with 3 decimals -- the same min-of-N
-    discipline the Python timers use.  This is the closest this
-    reproduction gets to the paper's platform: the emitted Figure 8
-    code, compiled by a real C compiler, timed natively.
-    """
-    node = emit_node_code(plan, shape, value)
-    return (
-        "#include <stdio.h>\n"
-        "#include <stdlib.h>\n"
-        "#include <time.h>\n\n"
-        + node
-        + "\n"
-        "static double now_us(void)\n"
-        "{\n"
-        "    struct timespec ts;\n"
-        "    clock_gettime(CLOCK_MONOTONIC, &ts);\n"
-        "    return ts.tv_sec * 1e6 + ts.tv_nsec * 1e-3;\n"
-        "}\n\n"
-        "int main(int argc, char **argv)\n"
-        "{\n"
-        "    long reps = argc > 1 ? atol(argv[1]) : 1000;\n"
-        f"    double *A = calloc({memory_size}, sizeof(double));\n"
-        "    double best = 1e30;\n"
-        "    long r;\n"
-        "    node_code(A); /* warm up */\n"
-        "    for (r = 0; r < reps; r++) {\n"
-        "        double t0 = now_us();\n"
-        "        node_code(A);\n"
-        "        double dt = now_us() - t0;\n"
-        "        if (dt < best) best = dt;\n"
-        "    }\n"
-        "    printf(\"%.3f\\n\", best);\n"
-        "    free(A);\n"
-        "    return 0;\n"
-        "}\n"
-    )
-
-
-#: Generic runtime kernels: the four Figure 8 node-code shapes with the
-#: ΔM tables passed at run time (the paper's Section 6.1 "runtime
-#: constructor" scenario), plus the ΔM-driven pack/unpack loops behind
-#: distribute/collect and the resilient exchange.  ``long`` matches
-#: NumPy's int64 on every LP64 platform the repo targets; the builder
-#: rejects others.  Each fill returns the number of elements written so
-#: the Python wrappers can preserve the interpreter shapes' contract.
+#: ``long`` matches NumPy's int64 on every LP64 platform the repo
+#: targets; the builder rejects others.
 _RUNTIME_KERNELS_C = r"""
-/* Generic access-sequence kernels (Figure 8 shapes + pack/unpack).
- * Table-driven: distribution parameters arrive as arguments, so one
- * shared library serves every plan.  Emitted by repro.runtime.emit_c
- * (EMITTER_VERSION pins the cache key). */
+/* Runtime kernels: indexed fill + pack/unpack.  Emitted by
+ * repro.runtime.emit_c (EMITTER_VERSION pins the cache key). */
 
-long repro_fill_a(double *A, double value, long start, long last,
-                  const long *deltaM, long length)
-{
-    double *base = A + start;
-    double *end = A + last;
-    long i = 0, written = 0;
-    while (base <= end) {
-        *base = value;
-        written++;
-        base += deltaM[i];
-        i = (i + 1) % length;
-    }
-    return written;
-}
-
-long repro_fill_b(double *A, double value, long start, long last,
-                  const long *deltaM, long length)
-{
-    double *base = A + start;
-    double *end = A + last;
-    long i = 0, written = 0;
-    while (base <= end) {
-        *base = value;
-        written++;
-        base += deltaM[i++];
-        if (i == length) i = 0;
-    }
-    return written;
-}
-
-long repro_fill_c(double *A, double value, long start, long last,
-                  const long *deltaM, long length)
-{
-    double *base = A + start;
-    double *end = A + last;
-    long i, written = 0;
-    while (1) {
-        for (i = 0; i < length; i++) {
-            *base = value;
-            written++;
-            base += deltaM[i];
-            if (base > end) goto done;
-        }
-    }
-done:
-    return written;
-}
-
-long repro_fill_d(double *A, double value, long start, long last,
-                  const long *deltaM, const long *nextOffset,
-                  long startOffset)
-{
-    double *base = A + start;
-    double *end = A + last;
-    long i = startOffset, written = 0;
-    while (base <= end) {
-        *base = value;
-        written++;
-        base += deltaM[i];
-        i = nextOffset[i];
-    }
-    return written;
-}
-
-/* Descending traversal (negative gaps, start >= last) -- the
- * negative-stride analogue of shape (b). */
-long repro_fill_desc(double *A, double value, long start, long last,
-                     const long *deltaM, long length)
-{
-    double *base = A + start;
-    double *end = A + last;
-    long i = 0, written = 0;
-    while (base >= end) {
-        *base = value;
-        written++;
-        base += deltaM[i++];
-        if (i == length) i = 0;
-    }
-    return written;
-}
-
-/* Fancy-indexed store over a materialized address vector (shape (v)
- * and the multidimensional execute_fill fast path). */
+/* Fancy-indexed store over a materialized address vector (every
+ * execute_fill). */
 void repro_fill_indexed(double *A, const long *idx, long n, double value)
 {
     long t;
@@ -325,58 +62,10 @@ long repro_kernels_abi(void) { return @ABI@; }
 
 #: The ABI stamp baked into the generic library and checked at load
 #: time; bumped with EMITTER_VERSION.
-KERNELS_ABI = 1
+KERNELS_ABI = 2
 
 
 def emit_runtime_kernels() -> str:
-    """The generic kernel library: table-driven Figure 8 shapes (a)-(d),
-    the descending fill, the indexed fill, and the pack/unpack
+    """The runtime kernel library: the indexed fill and the pack/unpack
     gather/scatter -- one ``-fPIC``-able translation unit."""
     return _RUNTIME_KERNELS_C.replace("@ABI@", str(KERNELS_ABI))
-
-
-def emit_timing_library(plan: AccessPlan, shape: str, memory_size: int,
-                        value: float = 100.0) -> str:
-    """Shared-library variant of :func:`emit_timing_harness`.
-
-    Exports the specialized ``node_code`` plus ``repro_best_us(reps)``,
-    which allocates the local arena, runs the warm-up and the min-of-N
-    repetition loop natively, and returns the best per-invocation
-    microseconds as a double -- the Table 2 cell measurement without a
-    process launch per cell.  ``repro_touched(A, cap)`` re-runs the node
-    code on a caller-provided arena so the address stream stays
-    checkable from Python.
-    """
-    node = emit_node_code(plan, shape, value)
-    return (
-        "#include <stdlib.h>\n"
-        "#include <time.h>\n\n"
-        + node
-        + "\n"
-        "static double now_us(void)\n"
-        "{\n"
-        "    struct timespec ts;\n"
-        "    clock_gettime(CLOCK_MONOTONIC, &ts);\n"
-        "    return ts.tv_sec * 1e6 + ts.tv_nsec * 1e-3;\n"
-        "}\n\n"
-        "double repro_best_us(long reps)\n"
-        "{\n"
-        f"    double *A = calloc({memory_size}, sizeof(double));\n"
-        "    double best = 1e30;\n"
-        "    long r;\n"
-        "    if (!A) return -1.0;\n"
-        "    node_code(A); /* warm up */\n"
-        "    for (r = 0; r < reps; r++) {\n"
-        "        double t0 = now_us();\n"
-        "        node_code(A);\n"
-        "        double dt = now_us() - t0;\n"
-        "        if (dt < best) best = dt;\n"
-        "    }\n"
-        "    free(A);\n"
-        "    return best;\n"
-        "}\n\n"
-        "void repro_touched(double *A)\n"
-        "{\n"
-        "    node_code(A);\n"
-        "}\n"
-    )

@@ -7,8 +7,8 @@ communication schedules, and the SPMD machine runs the node programs.
 * :func:`distribute` / :func:`collect` move whole arrays between a
   sequential NumPy "host" image and per-rank local memories (used for
   initialization and verification);
-* :func:`execute_fill` runs ``A(l:u:s) = value`` with any node-code
-  shape from Figure 8;
+* :func:`execute_fill` runs ``A(sections) = value``: each rank's local
+  addresses, then one indexed store;
 * :func:`execute_copy` runs ``A(sec_a) = B(sec_b)`` with generated
   communication (pack / exchange / unpack supersteps);
 * :func:`execute_combine` runs the scaled sum ``A(sec_a) = c0*T0(...) +
@@ -31,8 +31,7 @@ from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
 from ..machine.vm import VirtualMachine
 from ..obs import ambient
-from .address import flat_local_addresses
-from .codegen import get_shape, materialize_addresses
+from .address import flat_local_addresses, materialize_addresses
 from .native import kernels_for
 from .commsets import CommSchedule
 from .plancache import (
@@ -48,8 +47,6 @@ __all__ = [
     "scatter_slots",
     "distribute",
     "collect",
-    "distribute_reference",
-    "collect_reference",
     "execute_fill",
     "execute_copy",
     "execute_combine",
@@ -89,6 +86,17 @@ def scatter_slots(mem, slots, values, kernels) -> None:
             return
         ambient().inc("native.dispatch_numpy")
     mem[as_index(slots)] = values
+
+
+def _fill_slots(mem, addrs, value, kernels) -> None:
+    """``mem[addrs] = value`` -- the fill twin of :func:`scatter_slots`,
+    with the same native-or-NumPy dispatch and counters."""
+    if kernels is not None:
+        if kernels.fill_indexed(mem, addrs, value) is not None:
+            ambient().inc("native.dispatch_native")
+            return
+        ambient().inc("native.dispatch_numpy")
+    mem[addrs] = value
 
 
 def _check_vm(vm: VirtualMachine, array: DistributedArray) -> None:
@@ -151,7 +159,7 @@ def distribute(
     Vectorized: each rank's local image is one cross-product fancy-index
     gather/scatter built from the per-dimension layout closed forms --
     no per-element ownership tests
-    (:func:`distribute_reference` keeps that scalar sweep as the oracle).
+    (:func:`repro.oracle.distribute_reference` keeps that scalar sweep).
     With ``native`` (see :mod:`repro.runtime.native`), rank-1 arrays run
     the gather/scatter pair through the compiled pack/unpack kernels.
     """
@@ -216,104 +224,44 @@ def collect(
     return out
 
 
-def distribute_reference(
-    vm: VirtualMachine, array: DistributedArray, values: np.ndarray
-) -> None:
-    """Element-at-a-time :func:`distribute` (the original ``np.ndindex``
-    sweep), kept as the oracle the property tests and the kernel
-    benchmarks compare the vectorized path against."""
-    ambient().inc("kernels.scalar_path_calls")
-    _check_vm(vm, array)
-    values = np.asarray(values)
-    if values.shape != array.shape:
-        raise ValueError(
-            f"host image shape {values.shape} != array shape {array.shape}"
-        )
-    for rank in range(array.grid.size):
-        local = np.zeros(array.local_size(rank), dtype=values.dtype)
-        for idx in np.ndindex(*array.shape):
-            if array.is_local(idx, rank):
-                local[array.local_address(idx, rank)] = values[idx]
-        proc = vm.processors[rank]
-        proc.allocate(array.name, len(local), dtype=values.dtype)
-        proc.memory(array.name)[:] = local
-
-
-def collect_reference(
-    vm: VirtualMachine, array: DistributedArray, dtype=np.float64
-) -> np.ndarray:
-    """Element-at-a-time :func:`collect` (the original per-element
-    ownership sweep), kept as the oracle for the vectorized path."""
-    ambient().inc("kernels.scalar_path_calls")
-    _check_vm(vm, array)
-    out = np.zeros(array.shape, dtype=dtype)
-    for idx in np.ndindex(*array.shape):
-        rank = array.owners(idx)[0]
-        out[idx] = vm.processors[rank].memory(array.name)[array.local_address(idx, rank)]
-    return out
-
-
 def execute_fill(
     vm: VirtualMachine,
     array: DistributedArray,
     sections: tuple[RegularSection, ...],
     value,
-    shape: str = "d",
     native: bool | None = None,
 ) -> int:
     """Run ``A(sections) = value`` on every rank; returns elements written.
 
-    Rank-1 arrays use the requested node-code shape directly (the
-    paper's Figure 8 experiment); multidimensional arrays traverse the
-    per-dimension plans with vectorized address materialization (outer
-    dims) around the requested shape is not meaningful there, so they
-    always use the vectorized path.  ``native`` selects the compiled
-    node-code kernels (:mod:`repro.runtime.native`) for both cases,
-    falling back to the interpreter/NumPy paths bit-identically.
+    One loop for every array rank.  Each rank materializes its local
+    addresses -- a rank-1 array expands its cached ΔM plan (Figure 8's
+    table walk, vectorized), a multidimensional one takes the outer sum
+    of its per-dimension slot vectors -- and stores ``value`` through
+    them once: compiled when ``native`` kernels
+    (:mod:`repro.runtime.native`) serve the call, else the NumPy fancy
+    store.  Every replica is written; each logical element is counted
+    once, at its lowest owner.
     """
     _check_vm(vm, array)
     if len(sections) != array.rank:
         raise ValueError(
             f"need {array.rank} sections for {array.name}, got {len(sections)}"
         )
-    fill = get_shape(shape, native=native)
     kernels = kernels_for(native)
     total = 0
-    with vm.obs.span("execute_fill", array=array.name, shape=shape):
-        if array.rank == 1:
-            for rank in range(array.grid.size):
-                plan = cached_array_plan(array, 0, sections[0], rank)
-                if plan.is_empty:
-                    continue
-                if shape == "d" and plan.start_offset is None:
-                    raise ValueError(
-                        "shape 'd' requires identity alignment; use shapes a/b/c/v"
-                    )
-                memory = vm.processors[rank].memory(array.name)
-                total += fill(memory, plan, value)
-            return total
-        replicated = any(
-            array.is_replicated_over_axis(axis) for axis in range(array.grid.rank)
-        )
+    with vm.obs.span("execute_fill", array=array.name):
         for rank in range(array.grid.size):
-            memory = vm.processors[rank].memory(array.name)
-            if replicated:
-                # Slow path: per-element ownership bookkeeping so each logical
-                # element is counted once (at its lowest owner) even though it
-                # is written on every holding rank.
-                pairs = array.local_section_elements(sections, rank)
-                for idx, addr in pairs:
-                    memory[addr] = value
-                total += sum(1 for idx, _ in pairs if array.owners(idx)[0] == rank)
+            if array.rank == 1:
+                addrs = materialize_addresses(
+                    cached_array_plan(array, 0, sections[0], rank)
+                )
             else:
-                # Fast path (the Section-2 reduction, vectorized): outer-sum of
-                # the per-dimension 1-D slot vectors, one fancy-indexed store
-                # (compiled when the native kernels can serve it).
                 addrs = flat_local_addresses(array, sections, rank)
-                if len(addrs):
-                    if (kernels is None
-                            or kernels.fill_indexed(memory, addrs, value) is None):
-                        memory[addrs] = value
+            if not len(addrs):
+                continue
+            _fill_slots(vm.processors[rank].memory(array.name), addrs, value,
+                        kernels)
+            if _is_lowest_owner(array, rank):
                 total += len(addrs)
     return total
 

@@ -1,25 +1,19 @@
-"""Native-speed access-sequence kernels behind a NumPy-safe dispatch seam.
-
-The runtime has emitted faithful Figure 8 C since the seed
-(:mod:`repro.runtime.emit_c`) but only ever *interpreted* the ΔM tables
-in Python, which flattens the paper's Section 6 operation-mix ratios
-under interpreter overhead.  This package closes the loop from emitted
-to executed kernels:
+"""Native-speed runtime kernels behind a NumPy-safe dispatch seam.
 
 * :mod:`repro.runtime.native.build` compiles emitted C with the host
   compiler into a hashed on-disk .so cache (atomic installs, corrupt
   artifacts rejected and rebuilt, fork-safe handle cache);
-* this module wraps the generic kernel library
+* this module wraps the runtime kernel library
   (:func:`repro.runtime.emit_c.emit_runtime_kernels`) in
-  :class:`RuntimeKernels` -- the four Figure 8 node-code shapes, the
-  descending fill, the indexed fill, and the ΔM-driven pack/unpack
-  (gather/scatter) -- with ctypes signatures checked at load time;
-* :func:`kernels_for` is the dispatch seam :mod:`repro.runtime.codegen`
-  and :mod:`repro.runtime.exec` consult: it returns the loaded kernels
-  or ``None``, and ``None`` always means "use the existing NumPy path".
+  :class:`RuntimeKernels` -- the indexed fill and the ΔM-driven
+  pack/unpack (gather/scatter) -- with ctypes signatures checked at
+  load time;
+* :func:`kernels_for` is the dispatch seam :mod:`repro.runtime.exec`
+  consults: it returns the loaded kernels or ``None``, and ``None``
+  always means "use the existing NumPy path".
 
-Native dispatch **never changes results**: the scalar Python shapes stay
-the correctness referee (differential property tests in
+Native dispatch **never changes results**: the NumPy fancy-index paths
+are the semantics of record (differential tests in
 ``tests/runtime/test_native.py``), and any reason the native path cannot
 serve a call -- no compiler, a broken compiler, a non-float64 or
 non-contiguous memory, a ``TracingMemory`` -- falls back to NumPy with
@@ -50,7 +44,6 @@ import warnings
 import numpy as np
 
 from ...obs import ambient
-from ..address import AccessPlan
 from ..emit_c import KERNELS_ABI, emit_runtime_kernels
 from .build import (
     NativeBuildError,
@@ -79,11 +72,6 @@ __all__ = [
 _MODES = ("auto", "on", "off")
 
 _REQUIRED_SYMBOLS = (
-    "repro_fill_a",
-    "repro_fill_b",
-    "repro_fill_c",
-    "repro_fill_d",
-    "repro_fill_desc",
     "repro_fill_indexed",
     "repro_gather_f64",
     "repro_scatter_f64",
@@ -95,28 +83,17 @@ _i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 
 
 class RuntimeKernels:
-    """ctypes facade over the generic compiled kernel library.
+    """ctypes facade over the compiled runtime kernel library.
 
     Every method either performs the operation natively and returns its
-    result, or returns ``None`` to tell the caller "this call shape is
-    not native-servable, use the NumPy path" (wrong dtype, non-ndarray
-    memory, missing shape-(d) tables).  Falling back is always safe
+    result, or returns ``None``/``False`` to tell the caller "this call
+    shape is not native-servable, use the NumPy path" (wrong dtype,
+    non-ndarray or non-contiguous memory).  Falling back is always safe
     because the NumPy paths are the semantics of record.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        for name in ("repro_fill_a", "repro_fill_b", "repro_fill_c"):
-            fn = getattr(lib, name)
-            fn.argtypes = [_f64, ctypes.c_double, ctypes.c_long,
-                           ctypes.c_long, _i64, ctypes.c_long]
-            fn.restype = ctypes.c_long
-        lib.repro_fill_desc.argtypes = [_f64, ctypes.c_double, ctypes.c_long,
-                                        ctypes.c_long, _i64, ctypes.c_long]
-        lib.repro_fill_desc.restype = ctypes.c_long
-        lib.repro_fill_d.argtypes = [_f64, ctypes.c_double, ctypes.c_long,
-                                     ctypes.c_long, _i64, _i64, ctypes.c_long]
-        lib.repro_fill_d.restype = ctypes.c_long
         lib.repro_fill_indexed.argtypes = [_f64, _i64, ctypes.c_long,
                                            ctypes.c_double]
         lib.repro_fill_indexed.restype = None
@@ -142,37 +119,7 @@ class RuntimeKernels:
     def _tables(values) -> np.ndarray:
         return np.ascontiguousarray(values, dtype=np.int64)
 
-    # -- node-code shapes ----------------------------------------------
-
-    def fill(self, memory, plan: AccessPlan, value, shape: str) -> int | None:
-        """Run one Figure 8 shape natively; ``None`` = not servable."""
-        if not self._servable(memory):
-            return None
-        if plan.count == 0:
-            return 0
-        value = float(value)
-        if shape in ("a", "b", "c"):
-            fn = getattr(self._lib, f"repro_fill_{shape}")
-            return int(fn(memory, value, plan.start_local, plan.last_local,
-                          self._tables(plan.delta_m), plan.length))
-        if shape == "d":
-            if plan.start_offset is None:
-                return None
-            return int(self._lib.repro_fill_d(
-                memory, value, plan.start_local, plan.last_local,
-                self._tables(plan.delta_m_by_offset),
-                self._tables(plan.next_offset), plan.start_offset,
-            ))
-        if shape == "v":
-            from ..codegen import materialize_addresses
-
-            return self.fill_indexed(memory, materialize_addresses(plan), value)
-        if shape == "desc":
-            return int(self._lib.repro_fill_desc(
-                memory, value, plan.start_local, plan.last_local,
-                self._tables(plan.delta_m), plan.length,
-            ))
-        return None
+    # -- fill / pack / unpack ------------------------------------------
 
     def fill_indexed(self, memory, addrs: np.ndarray, value) -> int | None:
         """``memory[addrs] = value`` natively; ``None`` = not servable."""
@@ -181,8 +128,6 @@ class RuntimeKernels:
         idx = self._tables(addrs)
         self._lib.repro_fill_indexed(memory, idx, len(idx), float(value))
         return len(idx)
-
-    # -- ΔM-driven pack/unpack -----------------------------------------
 
     def gather(self, src, idx: np.ndarray) -> np.ndarray | None:
         """Pack: ``src[idx].copy()`` natively; ``None`` = not servable."""

@@ -1,6 +1,7 @@
 """Compile emitted C into a hashed, crash-safe on-disk artifact cache.
 
-The emitters (:mod:`repro.runtime.emit_c`) produce translation units;
+The emitters (:mod:`repro.runtime.emit_c` for the runtime, and the C
+benchmark harnesses of :mod:`repro.bench`) produce translation units;
 this module turns them into loadable shared objects (or standalone
 executables for the C benchmark harnesses) exactly once per
 *descriptor*.  A descriptor is a JSON-able dict of everything that can

@@ -39,7 +39,8 @@ from ..distribution import (
     RegularSection,
 )
 from ..distribution.localize import localized_elements
-from ..runtime.commsets import compute_comm_schedule, compute_comm_schedule_reference
+from ..oracle import compute_comm_schedule_reference
+from ..runtime.commsets import compute_comm_schedule
 from ..runtime.plancache import cached_comm_schedule, cached_localized_arrays
 from .protocol import RequestError
 

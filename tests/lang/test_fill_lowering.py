@@ -1,9 +1,9 @@
-"""Which node-code shape a compiled rank-1 fill runs.
+"""How compiled fills run.
 
-The default is the vectorized ΔM expansion (shape v) in every native
-mode, never an interpreted Figure 8 loop; with kernels serving the call
-(``REPRO_NATIVE=on``) it runs compiled.  An explicit ``default_shape``
-pins a letter.
+Every fill takes the runtime's one path -- the vectorized ΔM expansion
+(shape v), never an interpreted Figure 8 loop -- and is bit-identical to
+the reference interpreter; with kernels serving the call
+(``REPRO_NATIVE=on``) it runs compiled.
 """
 
 import shutil
@@ -15,7 +15,7 @@ from repro.lang.compiler import compile_source
 from repro.lang.parser import parse_program
 from repro.lang.reference import interpret
 from repro.obs import Observability, set_ambient
-from repro.runtime import codegen
+from repro.bench import nodecode
 from repro.runtime.exec import distribute
 from repro.runtime.native import reset_native_state, set_native_mode
 
@@ -35,12 +35,12 @@ B(0:119:3) = 4.0
 SOURCE = FILLS + "A(1:100) = 0.5*B(0:99) + 0.25*A(2:101)\nA(2:119:9) = 0.75\n"
 
 
-def run(source, **compile_kwargs):
+def run(source):
     """Run ``source`` compiled, return (images, reference images)."""
     program = parse_program(source)
     rng = np.random.default_rng(5)
     inputs = {"A": rng.random(120), "B": rng.random(120)}
-    compiled = compile_source(source, **compile_kwargs)
+    compiled = compile_source(source)
     vm = compiled.make_machine()
     for name, values in inputs.items():
         distribute(vm, compiled.arrays[name], values)
@@ -87,7 +87,7 @@ def forbid_interpreted_shapes(monkeypatch):
         raise AssertionError("interpreted Figure 8 shape on the default path")
 
     for letter in "abcd":
-        monkeypatch.setitem(codegen.SHAPES, letter, interpreted)
+        monkeypatch.setitem(nodecode.SHAPES, letter, interpreted)
 
 
 @pytest.mark.usefixtures("numpy_mode")
@@ -96,31 +96,9 @@ class TestNumpyMode:
         forbid_interpreted_shapes(monkeypatch)
         assert_bit_identical(*run(SOURCE))
 
-    def test_explicit_letter_pins_the_shape(self, monkeypatch):
-        calls = []
-        fill_a = codegen.SHAPES["a"]
-
-        def counting(memory, plan, value):
-            calls.append(plan.count)
-            return fill_a(memory, plan, value)
-
-        monkeypatch.setitem(codegen.SHAPES, "a", counting)
-        assert_bit_identical(*run(SOURCE, default_shape="a"))
-        assert calls
-
-    def test_pinned_d_falls_back_to_b_under_affine_alignment(self, monkeypatch):
-        ran = []
-        for letter in "bd":
-            def recording(memory, plan, value, letter=letter,
-                          fill=codegen.SHAPES[letter]):
-                ran.append(letter)
-                return fill(memory, plan, value)
-
-            monkeypatch.setitem(codegen.SHAPES, letter, recording)
-        assert_bit_identical(*run(FILLS, default_shape="d"))
-        # One A fill (identity) and two B fills (affine) per rank.
-        assert sorted(set(ran)) == ["b", "d"]
-        assert ran.count("b") == 2 * ran.count("d")
+    def test_fills_bit_identical(self):
+        # Identity-aligned A and affine-aligned B fills alone.
+        assert_bit_identical(*run(FILLS))
 
 
 @pytest.mark.skipif(

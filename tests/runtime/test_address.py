@@ -8,8 +8,7 @@ from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
-from repro.runtime.address import make_array_plan, make_plan
-from repro.runtime.codegen import materialize_addresses
+from repro.runtime.address import make_array_plan, make_plan, materialize_addresses
 
 from ..conftest import bounded_access_params
 

@@ -1,4 +1,5 @@
-"""Tests for the Figure 8 node-code shapes."""
+"""Tests for the Figure 8 node-code shapes (:mod:`repro.bench.nodecode`)
+and the address materialization the runtime's fill stores through."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.machine.trace import TracingMemory
-from repro.runtime.address import make_plan
-from repro.runtime.codegen import SHAPES, get_shape, materialize_addresses
+from repro.bench.nodecode import SHAPES
+from repro.runtime.address import make_plan, materialize_addresses
 
 from ..conftest import bounded_access_params
 
@@ -17,14 +18,7 @@ ALL_SHAPES = sorted(SHAPES)
 class TestRegistry:
     def test_known_shapes(self):
         assert set(SHAPES) == {"a", "b", "c", "d", "v"}
-        for name in SHAPES:
-            # An interpreter pin bypasses native dispatch entirely; the
-            # default may return a native wrapper under REPRO_NATIVE=on.
-            assert get_shape(name, native=False) is SHAPES[name]
-
-    def test_unknown_shape(self):
-        with pytest.raises(ValueError, match="unknown node-code shape"):
-            get_shape("z")
+        assert all(callable(fill) for fill in SHAPES.values())
 
 
 class TestShapesAgainstOracle:

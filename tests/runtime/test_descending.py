@@ -1,77 +1,11 @@
-"""Tests for descending traversal plans and flat multi-dim addressing."""
+"""Tests for flat multidimensional local addressing."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
 
-from repro.core.baselines.naive import enumerate_local_elements
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import Collapsed, Cyclic, CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
-from repro.runtime.address import flat_local_addresses, make_plan
-from repro.runtime.codegen import fill_descending
-
-from ..conftest import bounded_access_params
-
-
-class TestDescendingPlan:
-    def test_empty(self):
-        plan = make_plan(4, 8, 10, 5, 1, 0)
-        assert plan.descending() is plan
-
-    def test_paper_case_reversed(self, paper_params):
-        p, k, l, s, m = (paper_params[key] for key in "pklsm")
-        plan = make_plan(p, k, l, 319, s, m)
-        desc = plan.descending()
-        assert desc.start_local == plan.last_local
-        assert desc.last_local == plan.start_local
-        assert all(g < 0 for g in desc.delta_m)
-        assert desc.start_offset is None
-
-    @given(bounded_access_params())
-    @settings(max_examples=120, deadline=None)
-    def test_descending_walk_reverses_ascending(self, params):
-        p, k, l, u, s, m = params
-        plan = make_plan(p, k, l, u, s, m)
-        desc = plan.descending()
-        want = [a for _, a in enumerate_local_elements(p, k, l, u, s, m)]
-        if not want:
-            assert desc.is_empty
-            return
-        # Walk the descending table count steps.
-        got = []
-        addr = desc.start_local
-        for t in range(desc.count):
-            got.append(addr)
-            addr += desc.delta_m[t % desc.length]
-        assert got == list(reversed(want))
-
-
-class TestFillDescending:
-    def test_matches_ascending_image(self, paper_params):
-        p, k, l, s, m = (paper_params[key] for key in "pklsm")
-        plan = make_plan(p, k, l, 319, s, m)
-        want = [a for _, a in enumerate_local_elements(p, k, l, 319, s, m)]
-        mem = np.zeros(max(want) + 1)
-        written = fill_descending(mem, plan.descending(), 7.0)
-        assert written == len(want)
-        assert sorted(np.nonzero(mem)[0].tolist()) == want
-
-    def test_rejects_ascending_plan(self, paper_params):
-        p, k, l, s, m = (paper_params[key] for key in "pklsm")
-        plan = make_plan(p, k, l, 319, s, m)
-        with pytest.raises(ValueError, match="descending"):
-            fill_descending(np.zeros(100), plan, 1.0)
-
-    def test_empty(self):
-        plan = make_plan(4, 8, 10, 5, 1, 0)
-        assert fill_descending(np.zeros(4), plan.descending(), 1.0) == 0
-
-    def test_single_element(self):
-        plan = make_plan(4, 8, 5, 5, 1, 0)
-        mem = np.zeros(8)
-        assert fill_descending(mem, plan.descending(), 3.0) == 1
-        assert mem[plan.start_local] == 3.0
+from repro.runtime.address import flat_local_addresses
 
 
 class TestFlatLocalAddresses:

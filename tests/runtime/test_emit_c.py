@@ -1,4 +1,4 @@
-"""Tests for the Figure 8 C code emitter.
+"""Tests for the Figure 8 C code emitter (:mod:`repro.bench.nodecode`).
 
 Structure checks always run; if a C compiler is available on the host,
 the emitted harness is compiled and executed and its address stream is
@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
+from repro.bench.nodecode import emit_harness, emit_node_code
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.runtime.address import make_plan
-from repro.runtime.emit_c import emit_harness, emit_node_code
 
 PAPER = dict(p=4, k=8, l=4, u=319, s=9, m=1)
 

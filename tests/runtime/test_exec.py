@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
-from repro.distribution.dist import Block, Cyclic, CyclicK, ProcessorGrid
+from repro.bench.nodecode import SHAPES
+from repro.distribution.dist import Block, Collapsed, Cyclic, CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
 from repro.machine.vm import VirtualMachine
+from repro.runtime.address import make_plan
 from repro.runtime.commsets import compute_comm_schedule
 from repro.runtime.exec import collect, distribute, execute_copy, execute_fill
 
@@ -69,37 +71,88 @@ class TestDistributeCollect:
             distribute(vm, arr, np.zeros(100))
 
 
+def make_replicated_1d(n=40):
+    """Rank-1 array on a 2x2 grid: CYCLIC(3) over grid axis 0,
+    replicated over grid axis 1."""
+    grid = ProcessorGrid("P", (2, 2))
+    return DistributedArray("R", (n,), grid, (AxisMap(CyclicK(3), grid_axis=0),))
+
+
 class TestFill:
-    @pytest.mark.parametrize("shape", ["a", "b", "c", "d", "v"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_fill_matches_numpy(self, shape):
+        """The runtime's one fill path writes, on every rank, the local
+        image the given Figure 8 shape writes from the same plan."""
         arr = make_1d("A", 320, 4, 8)
         vm = VirtualMachine(4)
         distribute(vm, arr, np.zeros(320))
-        n = execute_fill(vm, arr, (RegularSection(4, 319, 9),), 100.0, shape=shape)
+        n = execute_fill(vm, arr, (RegularSection(4, 319, 9),), 100.0)
         ref = np.zeros(320)
         ref[4:320:9] = 100.0
         assert np.array_equal(collect(vm, arr), ref)
         assert n == len(range(4, 320, 9))
+        for rank in range(4):
+            local = vm.processors[rank].memory("A")
+            want = np.zeros_like(local)
+            SHAPES[shape](want, make_plan(4, 8, 4, 319, 9, rank), 100.0)
+            assert np.array_equal(local, want)
 
     def test_fill_negative_stride(self):
         arr = make_1d("A", 100, 4, 8)
         vm = VirtualMachine(4)
         distribute(vm, arr, np.zeros(100))
-        execute_fill(vm, arr, (RegularSection(90, 10, -5),), 1.0, shape="b")
+        execute_fill(vm, arr, (RegularSection(90, 10, -5),), 1.0)
         ref = np.zeros(100)
         ref[10:91:5] = 1.0
         assert np.array_equal(collect(vm, arr), ref)
 
-    def test_fill_aligned_rejects_shape_d(self):
+    def test_fill_aligned(self):
         arr = make_1d("A", 100, 4, 8, a=2, b=1, textent=256)
         vm = VirtualMachine(4)
         distribute(vm, arr, np.zeros(100))
-        with pytest.raises(ValueError, match="identity alignment"):
-            execute_fill(vm, arr, (RegularSection(0, 99, 3),), 1.0, shape="d")
-        execute_fill(vm, arr, (RegularSection(0, 99, 3),), 1.0, shape="b")
+        n = execute_fill(vm, arr, (RegularSection(0, 99, 3),), 1.0)
         ref = np.zeros(100)
         ref[0:100:3] = 1.0
         assert np.array_equal(collect(vm, arr), ref)
+        assert n == len(range(0, 100, 3))
+
+    def test_fill_replicated_counts_each_element_once(self):
+        """Regression: a replicated rank-1 fill counted every replica's
+        writes (26 for 13 elements here)."""
+        arr = make_replicated_1d()
+        vm = VirtualMachine(4)
+        distribute(vm, arr, np.zeros(40))
+        sec = RegularSection(1, 38, 3)
+        assert execute_fill(vm, arr, (sec,), 7.0) == len(sec) == 13
+        ref = np.zeros(40)
+        ref[1:39:3] = 7.0
+        assert np.array_equal(collect(vm, arr), ref)
+        for rank in range(4):
+            # Every replica holds the value, not only the lowest owner.
+            local = vm.processors[rank].memory("R")
+            for i in range(1, 39, 3):
+                if arr.is_local((i,), rank):
+                    assert local[arr.local_address((i,), rank)] == 7.0
+
+    def test_fill_replicated_2d(self):
+        grid = ProcessorGrid("P", (2, 2))
+        arr = DistributedArray(
+            "M", (9, 5), grid,
+            (AxisMap(CyclicK(2), grid_axis=0), AxisMap(Collapsed())),
+        )
+        vm = VirtualMachine(4)
+        distribute(vm, arr, np.zeros((9, 5)))
+        secs = (RegularSection(0, 8, 2), RegularSection(1, 4, 2))
+        assert execute_fill(vm, arr, secs, 3.0) == 5 * 2
+        ref = np.zeros((9, 5))
+        ref[0:9:2, 1:5:2] = 3.0
+        assert np.array_equal(collect(vm, arr), ref)
+        for rank in range(4):
+            local = vm.processors[rank].memory("M")
+            for i in range(0, 9, 2):
+                for j in range(1, 5, 2):
+                    if arr.is_local((i, j), rank):
+                        assert local[arr.local_address((i, j), rank)] == 3.0
 
     def test_fill_2d(self):
         grid = ProcessorGrid("P", (2, 2))

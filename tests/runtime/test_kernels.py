@@ -33,16 +33,13 @@ from repro.distribution.localize import (
 )
 from repro.distribution.section import RegularSection
 from repro.machine.vm import VirtualMachine
-from repro.runtime.commsets import (
-    compute_comm_schedule,
-    compute_comm_schedule_reference,
-)
-from repro.runtime.exec import (
-    collect,
+from repro.oracle import (
     collect_reference,
-    distribute,
+    compute_comm_schedule_reference,
     distribute_reference,
 )
+from repro.runtime.commsets import compute_comm_schedule
+from repro.runtime.exec import collect, distribute
 
 
 @st.composite

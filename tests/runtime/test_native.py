@@ -2,10 +2,11 @@
 
 Three layers:
 
-* differential -- the compiled Figure 8 shapes and pack/unpack kernels
-  must be bit-identical to the interpreted Python shapes (the semantics
-  of record) over randomized plan sweeps, and the executors must produce
-  identical machine states with ``native=True`` and ``native=False``;
+* differential -- the compiled fill and pack/unpack kernels must be
+  bit-identical to NumPy fancy indexing, the bench's compiled Figure 8
+  shapes to the interpreted ones, over randomized plan sweeps; and the
+  executors must produce identical machine states with ``native=True``
+  and ``native=False``;
 * cache -- one compilation ever per descriptor, disk hits after the
   handle cache is dropped, corrupt artifacts rejected and rebuilt;
 * degradation -- a missing or broken compiler falls back to NumPy with
@@ -22,9 +23,11 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.bench.nodecode import SHAPES, compiled_shapes
 from repro.distribution import (
     Alignment,
     AxisMap,
+    Cyclic,
     CyclicK,
     DistributedArray,
     ProcessorGrid,
@@ -38,8 +41,8 @@ from repro.runtime import (
     distribute,
     execute_copy,
     execute_fill,
-    get_shape,
     make_plan,
+    materialize_addresses,
 )
 from repro.runtime.native import (
     get_runtime_kernels,
@@ -110,29 +113,40 @@ def make_1d(name, n, p, k, a=1, b=0):
 # Differential: compiled kernels vs the interpreted semantics of record
 # ---------------------------------------------------------------------------
 
+def compiled_fills():
+    """Letter -> compiled fill: the bench's table-driven C shapes (a)-(d)
+    and the runtime's indexed fill over the materialized addresses (v)."""
+    kernels = get_runtime_kernels()
+    assert kernels is not None
+    fills = compiled_shapes()
+    fills["v"] = lambda memory, plan, value: kernels.fill_indexed(
+        memory, materialize_addresses(plan), value
+    )
+    return fills
+
+
 @needs_cc
 class TestDifferential:
     def test_fill_shapes_bit_identical(self, native_env):
-        kernels = get_runtime_kernels()
-        assert kernels is not None
+        fills = compiled_fills()
         rng = np.random.default_rng(42)
         for _ in range(30):
             plan, size = random_plan(rng)
             value = float(rng.standard_normal())
             for shape in "abcdv":
                 ref = np.zeros(size)
-                want = get_shape(shape, native=False)(ref, plan, value)
+                want = SHAPES[shape](ref, plan, value)
                 got_mem = np.zeros(size)
-                got = kernels.fill(got_mem, plan, value, shape)
+                got = fills[shape](got_mem, plan, value)
                 assert got == want, (plan, shape)
                 assert np.array_equal(got_mem, ref), (plan, shape)
 
     def test_paper_worked_example(self, native_env):
-        kernels = get_runtime_kernels()
+        fills = compiled_fills()
         plan = make_plan(4, 8, 4, 319, 9, 1)
-        for shape in "abcd":
+        for shape in "abcdv":
             mem = np.zeros(80)
-            assert kernels.fill(mem, plan, 100.0, shape) == 9
+            assert fills[shape](mem, plan, 100.0) == 9
             assert np.flatnonzero(mem).tolist() == [
                 5, 8, 20, 35, 47, 50, 62, 65, 77
             ]
@@ -155,7 +169,7 @@ class TestDifferential:
         kernels = get_runtime_kernels()
         plan = make_plan(4, 8, 4, 319, 9, 1)
         strided = np.zeros(160)[::2]
-        assert kernels.fill(strided, plan, 1.0, "b") is None
+        assert kernels.fill_indexed(strided, materialize_addresses(plan), 1.0) is None
         assert kernels.gather(strided, np.array([0, 1])) is None
         assert not kernels.scatter(strided, np.array([0]), np.array([1.0]))
 
@@ -173,16 +187,34 @@ class TestDifferential:
                     vm_i.processors[m].memory("X"),
                 )
             sec = RegularSection(1, n - 2, 3)
-            for shape in "abcd":
-                assert execute_fill(
-                    vm_n, arr_n, (sec,), 5.0, shape=shape, native=True
-                ) == execute_fill(
-                    vm_i, arr_i, (sec,), 5.0, shape=shape, native=False
-                )
+            assert execute_fill(
+                vm_n, arr_n, (sec,), 5.0, native=True
+            ) == execute_fill(vm_i, arr_i, (sec,), 5.0, native=False)
             assert np.array_equal(
                 collect(vm_n, arr_n, native=True),
                 collect(vm_i, arr_i, native=False),
             )
+
+    def test_fill_2d_dispatches_natively(self, native_env, obs):
+        grid = ProcessorGrid("P", (2, 2))
+        host = np.arange(72, dtype=float).reshape(8, 9)
+        secs = (RegularSection(1, 7, 2), RegularSection(0, 8, 3))
+        images = []
+        for native in (True, False):
+            arr = DistributedArray(
+                "M", (8, 9), grid,
+                (AxisMap(CyclicK(2), grid_axis=0), AxisMap(Cyclic(), grid_axis=1)),
+            )
+            vm = VirtualMachine(4)
+            distribute(vm, arr, host, native=native)
+            before = obs.metrics.value("native.dispatch_native")
+            assert execute_fill(vm, arr, secs, 5.0, native=native) == 4 * 3
+            bumps = obs.metrics.value("native.dispatch_native") - before
+            # Every rank owns some of the 12 elements: one store each.
+            assert bumps == (4 if native else 0)
+            images.append(collect(vm, arr))
+        assert obs.metrics.value("native.dispatch_numpy") == 0
+        assert images[0].tobytes() == images[1].tobytes()
 
     def test_execute_copy_bit_identical(self, native_env):
         clear_plan_caches()
@@ -309,9 +341,15 @@ class TestDegradation:
             warnings.simplefilter("always")
             assert kernels_for(True) is None
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        plan = make_plan(4, 8, 4, 319, 9, 1)
-        mem = np.zeros(80)
-        assert get_shape("b", native=True)(mem, plan, 100.0) == 9
+        arr = make_1d("X", 320, 4, 8)
+        vm = VirtualMachine(4)
+        distribute(vm, arr, np.zeros(320))
+        assert execute_fill(
+            vm, arr, (RegularSection(4, 319, 9),), 100.0, native=True
+        ) == len(range(4, 320, 9))
+        assert np.flatnonzero(vm.processors[1].memory("X")).tolist() == [
+            5, 8, 20, 35, 47, 50, 62, 65, 77
+        ]
 
     def test_broken_cc_build_error_message(self, native_env, monkeypatch):
         if not os.path.exists("/bin/false"):

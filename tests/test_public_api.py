@@ -76,7 +76,7 @@ class TestTopLevel:
             "repro.machine.vm", "repro.machine.network",
             "repro.machine.collectives", "repro.machine.topology",
             "repro.machine.costmodel", "repro.machine.trace",
-            "repro.runtime.address", "repro.runtime.codegen",
+            "repro.oracle", "repro.runtime.address",
             "repro.runtime.commsets", "repro.runtime.commsets2d",
             "repro.runtime.exec", "repro.runtime.redistribute",
             "repro.runtime.triangular", "repro.runtime.sections_io",
@@ -91,6 +91,7 @@ class TestTopLevel:
             "repro.bench.ablations", "repro.bench.opcounts",
             "repro.bench.claims", "repro.bench.costs",
             "repro.bench.table1_c", "repro.bench.table2_c",
+            "repro.bench.nodecode",
             "repro.bench.environment",
         ]
         for modname in modules:
