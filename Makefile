@@ -1,7 +1,7 @@
 # Convenience targets for the PPoPP '95 reproduction.
 
 .PHONY: install test bench bench-kernels bench-native bench-elastic \
-	bench-service bench-e2e bench-e2e-native faults soak mp-soak elastic-soak service-soak reproduce \
+	bench-e2e bench-e2e-native faults soak mp-soak elastic-soak reproduce \
 	examples trace profile clean clean-reports
 
 # Seeds the fault-injection sweep runs under (space separated).
@@ -15,9 +15,6 @@ MP_SEED_SWEEP ?= 0 1 7
 # Seeds for the elastic-membership soak (grow/shrink/migrate sweeps on
 # both backends, SIGKILL-during-migration included).
 ELASTIC_SEED_SWEEP ?= 0 1 7
-# Seeds for the planning-service soak (server + client + cache suites
-# plus a seeded chaos benchmark run per seed).
-SERVICE_SEED_SWEEP ?= 0 1 7
 # Where the sweep leaves its per-seed logs and junit reports (CI
 # uploads this directory as an artifact when the sweep fails).
 FAULT_REPORT_DIR ?= fault-reports
@@ -50,12 +47,6 @@ bench-native:
 # static-p' oracle and writes BENCH_elastic.json.
 bench-elastic:
 	python benchmarks/bench_elastic.py
-
-# Planning-service benchmark (docs/SERVICE.md): boots a real server,
-# drives 12k+ concurrent requests plus a seeded-chaos run, verifies
-# served plans bit-identically, and writes BENCH_service.json.
-bench-service:
-	python benchmarks/bench_service.py
 
 # End-to-end mini-HPF benchmark (benchmarks/e2e/README.md): its own
 # tests, then a quick timed + traced pass over every workload.  Every
@@ -156,36 +147,6 @@ elastic-soak:
 			exit 1; \
 		fi; \
 		tail -n 1 $(FAULT_REPORT_DIR)/elastic-$$seed.log; \
-	done
-
-# Planning-service soak (docs/SERVICE.md, docs/FAULT_MODEL.md §7): the
-# full server/client/protocol suites and the concurrent-cache hammering
-# tests, then a seeded chaos benchmark run per seed (stalls, failures,
-# worker deaths under tight deadlines; fails on any non-bit-identical
-# served plan).  Junit + logs land in $(FAULT_REPORT_DIR)/ and any
-# failure replays with the printed seed.
-service-soak:
-	mkdir -p $(FAULT_REPORT_DIR)
-	for seed in $(SERVICE_SEED_SWEEP); do \
-		echo "== service soak, seed $$seed"; \
-		if ! pytest -q \
-			tests/service \
-			tests/runtime/test_plancache_concurrent.py \
-			tests/obs/test_handle_limits.py \
-			--junitxml=$(FAULT_REPORT_DIR)/service-$$seed.xml \
-			> $(FAULT_REPORT_DIR)/service-$$seed.log 2>&1; then \
-			cat $(FAULT_REPORT_DIR)/service-$$seed.log; \
-			echo "service soak FAILED at seed $$seed"; \
-			exit 1; \
-		fi; \
-		tail -n 1 $(FAULT_REPORT_DIR)/service-$$seed.log; \
-		if ! python benchmarks/bench_service.py --quick --seed $$seed \
-			--output $(FAULT_REPORT_DIR)/service-bench-$$seed.json \
-			>> $(FAULT_REPORT_DIR)/service-$$seed.log 2>&1; then \
-			cat $(FAULT_REPORT_DIR)/service-$$seed.log; \
-			echo "service chaos bench FAILED at seed $$seed (replay: --seed $$seed)"; \
-			exit 1; \
-		fi; \
 	done
 
 # Capture a Chrome trace + metrics summary of an instrumented run

@@ -12,11 +12,6 @@ Commands map one-to-one onto the paper's evaluation artifacts::
     python -m repro trace      # run instrumented programs, export traces
     python -m repro profile    # measured superstep profiles + calibration
 
-Plus the long-running planning service (ROADMAP item 3)::
-
-    python -m repro serve        # the crash-safe planning server
-    python -m repro plan-client  # query a running server from the shell
-
 Remaining arguments are forwarded to the selected harness.
 """
 
@@ -36,9 +31,6 @@ COMMANDS = {
     "table1c": "repro.bench.table1_c",
     "trace": "repro.obs.cli",
     "profile": "repro.obs.profilecli",
-    # "module:function" targets call that function instead of main().
-    "serve": "repro.service.cli:serve_main",
-    "plan-client": "repro.service.cli:client_main",
 }
 
 
@@ -72,11 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     import importlib
 
-    target = COMMANDS[command]
-    module_name, _, func_name = target.partition(":")
-    module = importlib.import_module(module_name)
-    entry = getattr(module, func_name) if func_name else module.main
-    result = entry(rest)
+    result = importlib.import_module(COMMANDS[command]).main(rest)
     return result if isinstance(result, int) else 0
 
 

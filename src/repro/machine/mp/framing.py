@@ -68,11 +68,8 @@ class FrameTimeout(FrameError):
 # Byte-level primitives (transport-agnostic)
 # ---------------------------------------------------------------------------
 #
-# The planning service (:mod:`repro.service`) reuses the exact same frame
-# format over asyncio streams with JSON payloads, so the header packing,
-# parsing, and CRC verification are exposed as pure byte functions; the
-# blocking socket helpers below and the service's async reader are both
-# thin shells over them.
+# Header packing, parsing, and CRC verification are pure byte functions;
+# the blocking socket helpers below are thin shells over them.
 
 
 def pack_frame(payload: bytes) -> bytes:

@@ -68,21 +68,16 @@ _LIVE: "weakref.WeakSet[Observability]" = weakref.WeakSet()
 class HandleLimits:
     """Memory bounds for one :class:`Observability` handle.
 
-    Long-running processes (the planning service foremost) cannot let
-    trace state grow with uptime: spans and machine events live in rings
-    of these sizes, and :meth:`Observability.flush_jsonl` periodically
-    drains the rings to disk -- keeping at most ``flush_keep`` flush
-    files per label via :func:`repro.obs.export.rotate_reports` -- so
-    the steady-state footprint is ``O(max_spans + ranks *
-    event_capacity)`` regardless of how long the process runs.
+    Spans and machine events live in rings of these sizes, so a
+    handle's footprint is ``O(max_spans + ranks * event_capacity)``
+    however long it records.
     """
 
     max_spans: int = 65536
     event_capacity: int = 256
-    flush_keep: int = 16
 
     def __post_init__(self) -> None:
-        for name in ("max_spans", "event_capacity", "flush_keep"):
+        for name in ("max_spans", "event_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -177,7 +172,6 @@ class Observability:
         self.trace = TraceBuffer(handle_limits.max_spans)
         self.events = EventLog(handle_limits.event_capacity, enabled=enabled)
         self._stack: list[_Span] = []
-        self._flush_n = 0
         if enabled:
             _LIVE.add(self)
 
@@ -255,31 +249,6 @@ class Observability:
         self.metrics.clear()
         self.trace.clear()
         self.events.clear()
-
-    def flush_jsonl(self, directory, label: str = "obs") -> Path | None:
-        """Drain the span/event rings to a JSON-lines file and clear
-        them (metrics are cumulative and stay).  The flush counter keeps
-        filenames unique within one process; old flushes are rotated
-        away past ``limits.flush_keep`` per label -- this is what keeps
-        a long-running server's trace memory *and* disk bounded.
-
-        Returns the written path, or ``None`` when disabled or when
-        there is nothing buffered to flush.
-        """
-        if not self.enabled:
-            return None
-        if len(self.trace) == 0 and self.events.count() == 0:
-            return None
-        from .export import rotate_reports, write_jsonl
-
-        directory = Path(directory)
-        self._flush_n += 1
-        path = directory / f"obs-{label}-p{os.getpid()}-f{self._flush_n:06d}.jsonl"
-        write_jsonl(self, path)
-        self.trace.clear()
-        self.events.clear()
-        rotate_reports(directory, keep=self.limits.flush_keep)
-        return path
 
 
 #: Process-wide fallback handle for layers with no machine in scope.

@@ -171,8 +171,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write the text summary ('-' for stdout)")
     parser.add_argument("--prom", default=None, metavar="PATH",
                         help="also dump the metrics registry as Prometheus "
-                             "exposition text ('-' for stdout), the same "
-                             "body a /metrics scrape would see")
+                             "exposition text ('-' for stdout)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the closing one-line report")
     args = parser.parse_args(argv)

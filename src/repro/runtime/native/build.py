@@ -9,13 +9,12 @@ change the produced machine code: the plan parameters / source identity,
 the emitter version, the pinned flag set, the artifact kind, and the
 compiler id (path + version line).  Its SHA-256 keys the artifact, so:
 
-* repeated runs -- and the plan-cache / service layers above -- never
-  recompile warm work;
+* repeated runs -- and the plan-cache layer above -- never recompile
+  warm work;
 * a compiler upgrade, emitter change, or flag change misses cleanly
   instead of serving stale code;
 * concurrent builders race benignly: each compiles into a private
-  ``.tmp-<pid>`` file and installs with an atomic :func:`os.replace`,
-  mirroring the snapshot discipline of :mod:`repro.service.snapshot`.
+  ``.tmp-<pid>`` file and installs with an atomic :func:`os.replace`.
 
 Layered on top is a per-process handle cache of loaded
 :class:`ctypes.CDLL` objects, guarded against fork inheritance the same
@@ -265,9 +264,7 @@ def load_library(
 
     The in-process handle cache makes repeat loads free; a cached .so
     that fails to dlopen or lacks ``required_symbols`` (truncated or
-    corrupted file, stale partial install) is deleted and rebuilt once
-    -- the same reject-diagnose-rebuild contract the service applies to
-    cache snapshots.
+    corrupted file, stale partial install) is deleted and rebuilt once.
     """
     _pid_guard()
     artifact = build_cached(source, descriptor, kind="shared")

@@ -1,7 +1,7 @@
 """Tests for the linear-time algorithm (Figure 5), incl. oracle properties."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.access import AccessTable, compute_access_table, start_location
 from repro.core.baselines.naive import enumerate_local_elements, naive_access_table
@@ -95,6 +95,12 @@ class TestPaperWalk:
 
 class TestAgainstOracle:
     @given(access_params())
+    @example((4, 8, 4, 9, 1))  # the paper's worked example
+    @example((1, 1, 0, 1, 0))
+    @example((3, 5, 2, 7, 2))
+    @example((8, 3, 11, 13, 5))
+    @example((2, 16, 0, 31, 1))
+    @example((5, 4, 3, 20, 0))  # stride spanning full courses
     @settings(max_examples=250, deadline=None)
     def test_matches_naive(self, params):
         p, k, l, s, m = params

@@ -1,7 +1,7 @@
 """Tests for the two-application alignment localization scheme."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import compute_access_table
@@ -10,6 +10,7 @@ from repro.distribution.layout import CyclicLayout
 from repro.distribution.localize import (
     RankFunction,
     localize_section,
+    localized_arrays,
     localized_elements,
 )
 from repro.distribution.section import RegularSection
@@ -108,12 +109,19 @@ class TestLocalizeSection:
             lt.indices(-1)
 
     @given(localize_params())
+    @example((4, 8, 64, Alignment(1, 0), RegularSection(0, 63, 3), 2))
+    @example((2, 4, 40, Alignment(2, 1), RegularSection(3, 37, 5), 1))
+    @example((3, 5, 50, Alignment(-1, 49), RegularSection(0, 49, 7), 0))
+    @example((1, 3, 20, Alignment(1, 0), RegularSection(19, 0, 4), 0))  # lower > upper
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, params):
         p, k, n, alignment, section, m = params
         got = localized_elements(p, k, n, alignment, section, m)
         want = brute_localized(p, k, n, alignment, section, m)
         assert got == want
+        indices, slots = localized_arrays(p, k, n, alignment, section, m)
+        assert indices.tolist() == [i for i, _ in want]
+        assert slots.tolist() == [r for _, r in want]
 
     @given(localize_params())
     @settings(max_examples=100, deadline=None)

@@ -1,8 +1,6 @@
-"""Observability memory bounds: HandleLimits rings and periodic flush."""
+"""Observability memory bounds: HandleLimits rings."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -29,48 +27,8 @@ class TestHandleLimits:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(max_spans=0), dict(event_capacity=0), dict(flush_keep=0)],
+        [dict(max_spans=0), dict(event_capacity=0), dict(max_spans=-1)],
     )
     def test_invalid_limits_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HandleLimits(**kwargs)
-
-
-class TestFlushJsonl:
-    def test_flush_writes_and_clears_rings_keeps_metrics(self, tmp_path):
-        obs = Observability(handle_limits=HandleLimits(max_spans=16))
-        with obs.span("work"):
-            obs.inc("things", 3)
-        obs.machine_event(1, 0, "send", "hello")
-        path = obs.flush_jsonl(tmp_path, label="svc")
-        assert path is not None and path.exists()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        types = [l["type"] for l in lines]
-        assert "span" in types and "event" in types and types[-1] == "metrics"
-        # Rings drained, counters kept (they are cumulative).
-        assert len(obs.trace) == 0 and obs.events.count() == 0
-        assert obs.metrics.counter("things").value == 3
-
-    def test_flush_empty_or_disabled_is_noop(self, tmp_path):
-        assert Observability().flush_jsonl(tmp_path) is None
-        disabled = Observability(enabled=False)
-        disabled.instant("ignored")
-        assert disabled.flush_jsonl(tmp_path) is None
-        assert list(tmp_path.iterdir()) == []
-
-    def test_repeated_flushes_rotate_past_flush_keep(self, tmp_path):
-        obs = Observability(handle_limits=HandleLimits(flush_keep=3))
-        for i in range(7):
-            obs.instant(f"tick{i}")
-            assert obs.flush_jsonl(tmp_path, label="svc") is not None
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert len(files) == 3  # bounded disk, newest kept
-        assert files[-1].endswith("f000007.jsonl")
-
-    def test_flush_filenames_are_unique_and_labeled(self, tmp_path):
-        obs = Observability()
-        obs.instant("a")
-        p1 = obs.flush_jsonl(tmp_path, label="alpha")
-        obs.instant("b")
-        p2 = obs.flush_jsonl(tmp_path, label="alpha")
-        assert p1 != p2 and all("obs-alpha-p" in p.name for p in (p1, p2))

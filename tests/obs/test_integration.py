@@ -207,6 +207,23 @@ class TestMachineReport:
         assert cache.stats()["evictions"] == 1
         assert obs.metrics.value("plancache.tiny.evictions") == 1
 
+    def test_miss_emits_one_plan_compute_span(self, fresh_caches):
+        from repro.runtime.plancache import PlanCache
+
+        obs = Observability()
+        prev = set_ambient(obs)
+        try:
+            cache = PlanCache("tiny", maxsize=4)
+            cache.get_or_compute("a", lambda: 1)  # miss: computes
+            cache.get_or_compute("a", lambda: 1)  # hit: no span
+        finally:
+            set_ambient(prev)
+        (span,) = obs.trace.spans("plan_compute")
+        assert span.attrs_dict() == {"cache": "tiny"}
+        assert not span.is_instant
+        assert obs.metrics.value("plancache.tiny.misses") == 1
+        assert obs.metrics.value("plancache.tiny.hits") == 1
+
     def test_report_keeps_legacy_keys(self):
         vm = VirtualMachine(2)
         vm.run(lambda ctx: None)

@@ -426,8 +426,8 @@ class TestPlanCacheEpochs:
         from repro.runtime import plancache
 
         for cache in plancache._CACHES:
-            for key in cache._data:
-                tags = cache._ps.get(key) or plancache._ps_from_key(key)
+            for key, (_, tags) in cache._data.items():
+                assert tags, (cache.name, key)  # every entry is tagged
                 assert 4 not in tags, (cache.name, key)
         # The p=3 copy still works and misses (its plans were fresh).
         vm.retire_to(3)

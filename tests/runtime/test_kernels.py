@@ -9,7 +9,7 @@ including empty-owner processors and single-element cycles.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import compute_access_table
@@ -303,6 +303,12 @@ class TestVectorizedSchedule:
 
 
     @given(affine_schedule_params())
+    @example((make_1d("A", 64, 4, 8), RegularSection(0, 63, 1),
+              make_1d("B", 64, 4, 4), RegularSection(0, 63, 1)))
+    @example((make_1d("A", 48, 3, 4, 1, 2), RegularSection(1, 43, 3),
+              make_1d("B", 48, 3, 6), RegularSection(2, 44, 3)))
+    @example((make_1d("A", 30, 2, 5), RegularSection(0, 29, 2),
+              make_1d("B", 30, 2, 3, 1, 1), RegularSection(0, 28, 2)))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_affine_both_sides(self, params):
         a, sec_a, b, sec_b = params

@@ -58,6 +58,33 @@ class TestPlanCache:
         assert cache.hits == 1
         assert cache.misses == 4
 
+    def test_hit_refreshes_recency(self):
+        cache = PlanCache("t", maxsize=3)
+        for key in "abc":
+            cache.get_or_compute(key, lambda: key)
+        assert cache.get_or_compute("a", lambda: "WRONG") == "a"  # hit
+        cache.get_or_compute("d", lambda: "d")  # evicts b, not a
+        assert list(cache._data) == ["c", "a", "d"]
+        assert cache.evictions == 1
+
+    def test_overflow_evicts_least_recently_used(self):
+        cache = PlanCache("t", maxsize=3)
+        for key in range(5):
+            cache.get_or_compute(key, lambda: key)
+        assert list(cache._data) == [2, 3, 4]
+        assert cache.evictions == 2
+        sentinel = object()
+        assert cache.get_or_compute(0, lambda: sentinel) is sentinel
+
+    def test_len_is_bounded_by_maxsize(self):
+        cache = PlanCache("t", maxsize=7)
+        for key in range(30):
+            cache.get_or_compute(key, lambda: key)
+            assert len(cache) == min(key + 1, 7)
+            cache.get_or_compute(key // 2, lambda: key)  # hits and misses
+            assert len(cache) == min(key + 1, 7)
+        assert cache.stats()["entries"] == 7
+
     def test_counters_and_clear(self):
         cache = PlanCache("t", maxsize=4)
         cache.get_or_compute("k", lambda: 1)
@@ -177,8 +204,8 @@ class TestReporting:
         ):
             entry = report["plan_caches"][name]
             assert set(entry) == {
-                "entries", "maxsize", "shards", "hits", "misses",
-                "evictions", "invalidations", "expirations", "coalesced",
+                "entries", "maxsize", "hits", "misses", "evictions",
+                "invalidations",
             }
 
     def test_clear_resets_all(self):

@@ -1,9 +1,11 @@
-"""Differential tests: production vs oracle evaluation, bit-identical.
+"""Differential tests: cached, direct and oracle plans, compared exactly.
 
-The acceptance bar for the service is that every served plan is
-bit-identical to direct computation.  "Bit-identical" is checked at the
-representation that actually crosses the wire: the canonical JSON
-encoding (sorted keys, compact separators), compared as bytes.
+Each case is evaluated three ways -- through the plan cache
+(:mod:`repro.runtime.plancache`), by the direct vectorized producer, and
+by the independently coded oracle -- and the three results must be
+identical.  The cases once reached these paths through the planning
+service's ``plan``/``localize``/``schedule`` queries; they now call the
+library directly, with no JSON layer in between.
 """
 
 from __future__ import annotations
@@ -12,15 +14,20 @@ import json
 
 import pytest
 
-from repro.service.protocol import RequestError
-from repro.service.queries import evaluate, reference
-
-
-def canonical(obj: dict) -> bytes:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode()
-
+from repro.core.access import compute_access_table
+from repro.core.baselines.naive import naive_access_table
+from repro.distribution.align import Alignment
+from repro.distribution.array import AxisMap, DistributedArray
+from repro.distribution.dist import CyclicK, ProcessorGrid
+from repro.distribution.localize import localized_arrays, localized_elements
+from repro.distribution.section import RegularSection
+from repro.oracle import compute_comm_schedule_reference
+from repro.runtime.commsets import compute_comm_schedule
+from repro.runtime.plancache import (
+    cached_comm_schedule,
+    cached_localized_arrays,
+    clear_plan_caches,
+)
 
 PLAN_CASES = [
     {"p": 4, "k": 8, "l": 4, "s": 9, "m": 1},  # the paper's worked example
@@ -57,65 +64,127 @@ SCHEDULE_CASES = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    clear_plan_caches()
+    yield
+    clear_plan_caches()
+
+
+def plan_fields(table) -> tuple:
+    return (table.start, table.length, table.gaps, table.index_gaps)
+
+
+def plan_args(params: dict) -> tuple:
+    return tuple(params[name] for name in ("p", "k", "l", "s", "m"))
+
+
+def localize_args(params: dict) -> tuple:
+    return (
+        params["p"],
+        params["k"],
+        params["extent"],
+        Alignment(params["align_a"], params["align_b"]),
+        RegularSection(params["lower"], params["upper"], params["stride"]),
+        params["rank"],
+    )
+
+
+def schedule_args(params: dict) -> tuple:
+    n, p = params["n"], params["p"]
+    grid = ProcessorGrid("G", (p,))
+
+    def side(name: str, spec: dict):
+        align = Alignment(spec.get("align_a", 1), spec.get("align_b", 0))
+        array = DistributedArray(
+            name, (n,), grid, (AxisMap(CyclicK(spec["k"]), align, grid_axis=0),)
+        )
+        return array, RegularSection(spec["lower"], spec["upper"], spec["stride"])
+
+    lhs, sec_a = side("A", params["lhs"])
+    rhs, sec_b = side("B", params["rhs"])
+    return lhs, sec_a, rhs, sec_b
+
+
+def schedule_fields(schedule) -> tuple:
+    return (
+        schedule.n_iterations,
+        [t.astuples() for t in schedule.locals_],
+        [t.astuples() for t in schedule.transfers],
+    )
+
+
 class TestDifferential:
     @pytest.mark.parametrize("params", PLAN_CASES)
     def test_plan_bit_identical(self, params):
-        assert canonical(evaluate("plan", params)) == canonical(
-            reference("plan", params)
+        args = plan_args(params)
+        assert plan_fields(compute_access_table(*args)) == plan_fields(
+            naive_access_table(*args)
         )
 
     @pytest.mark.parametrize("params", LOCALIZE_CASES)
     def test_localize_bit_identical(self, params):
-        cached = evaluate("localize", params)
-        uncached = evaluate("localize", params, use_cache=False)
-        oracle = reference("localize", params)
-        assert canonical(cached) == canonical(uncached) == canonical(oracle)
+        args = localize_args(params)
+        oracle = localized_elements(*args)
+        want = ([i for i, _ in oracle], [s for _, s in oracle])
+        for _ in range(2):  # a miss, then a hit on the stored vectors
+            indices, slots = cached_localized_arrays(*args)
+            assert (indices.tolist(), slots.tolist()) == want
+        indices, slots = localized_arrays(*args)
+        assert (indices.tolist(), slots.tolist()) == want
 
     @pytest.mark.parametrize("params", SCHEDULE_CASES)
     def test_schedule_bit_identical(self, params):
-        cached = evaluate("schedule", params)
-        uncached = evaluate("schedule", params, use_cache=False)
-        oracle = reference("schedule", params)
-        assert canonical(cached) == canonical(uncached) == canonical(oracle)
+        args = schedule_args(params)
+        oracle = schedule_fields(compute_comm_schedule_reference(*args))
+        for _ in range(2):  # a miss, then a hit on the stored schedule
+            assert schedule_fields(cached_comm_schedule(*args)) == oracle
+        assert schedule_fields(compute_comm_schedule(*args)) == oracle
 
     def test_results_are_pure_json(self):
-        # No numpy scalars or other non-JSON types may leak through.
+        # Plan fields and schedule tuples are plain Python ints: no NumPy
+        # scalar leaks out of the vectorized producers.
         for params in PLAN_CASES[:2]:
-            json.dumps(evaluate("plan", params), allow_nan=False)
+            json.dumps(plan_fields(compute_access_table(*plan_args(params))))
         for params in LOCALIZE_CASES[:2]:
-            json.dumps(evaluate("localize", params), allow_nan=False)
+            indices, slots = cached_localized_arrays(*localize_args(params))
+            json.dumps([indices.tolist(), slots.tolist()])
         for params in SCHEDULE_CASES[:1]:
-            json.dumps(evaluate("schedule", params), allow_nan=False)
+            json.dumps(schedule_fields(cached_comm_schedule(*schedule_args(params))))
 
 
 class TestValidation:
+    # The ids keep the case numbering of the larger table these two
+    # cases come from; the rest checked request fields that no longer
+    # exist.
     @pytest.mark.parametrize(
         "op,params,match",
         [
-            ("plan", {}, "missing required parameter 'p'"),
-            ("plan", {"p": 0, "k": 1, "l": 0, "s": 1, "m": 0}, ">= 1"),
-            ("plan", {"p": 4, "k": 8, "l": 4, "s": 9, "m": 4}, "<= 3"),
-            ("plan", {"p": 4, "k": 8, "l": 4, "s": 9, "m": True}, "integer"),
-            ("plan", {"p": 4, "k": 8, "l": 4, "s": 9, "m": 0, "zz": 1}, "unknown"),
-            ("plan", {"p": 1 << 13, "k": 1 << 12, "l": 0, "s": 1, "m": 0}, "p\\*k"),
-            ("localize", {"p": 2, "k": 2, "extent": 10, "align_a": 0,
-                          "align_b": 0, "lower": 0, "upper": 9, "stride": 1,
-                          "rank": 0}, "nonzero"),
-            ("schedule", {"n": 10, "p": 2, "lhs": 3, "rhs": {}}, "object"),
-            ("schedule", {"n": 10, "p": 2,
-                          "lhs": {"k": 2, "lower": 0, "upper": 9, "stride": 1},
-                          "rhs": {"k": 2, "lower": 0, "upper": 4, "stride": 1}},
-             "conformable"),
+            pytest.param(
+                "localize",
+                {"p": 2, "k": 2, "extent": 10, "align_a": 0, "align_b": 0,
+                 "lower": 0, "upper": 9, "stride": 1, "rank": 0},
+                "nonzero",
+                id="localize-params6-nonzero",
+            ),
+            pytest.param(
+                "schedule",
+                {"n": 10, "p": 2,
+                 "lhs": {"k": 2, "lower": 0, "upper": 9, "stride": 1},
+                 "rhs": {"k": 2, "lower": 0, "upper": 4, "stride": 1}},
+                "conformable",
+                id="schedule-params8-conformable",
+            ),
         ],
     )
     def test_bad_params_named(self, op, params, match):
-        with pytest.raises(RequestError, match=match):
-            evaluate(op, params)
-        with pytest.raises(RequestError):
-            reference(op, params)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(RequestError, match="unknown query op"):
-            evaluate("nonesuch", {})
-        with pytest.raises(RequestError, match="unknown query op"):
-            reference("nonesuch", {})
+        if op == "localize":
+            paths = (cached_localized_arrays, localized_arrays, localized_elements)
+            build = localize_args
+        else:
+            paths = (cached_comm_schedule, compute_comm_schedule,
+                     compute_comm_schedule_reference)
+            build = schedule_args
+        for path in paths:
+            with pytest.raises(ValueError, match=match):
+                path(*build(params))

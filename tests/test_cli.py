@@ -25,8 +25,7 @@ class TestDispatch:
     def test_command_table_complete(self):
         assert set(COMMANDS) == {
             "table1", "figure7", "table2", "ablations", "opcounts", "claims",
-            "costs", "table2c", "table1c", "trace", "profile", "serve",
-            "plan-client",
+            "costs", "table2c", "table1c", "trace", "profile",
         }
 
     def test_costs_smoke(self, capsys):
