@@ -56,7 +56,7 @@ from repro.distribution import (
     localized_elements,
 )
 from repro.bench.environment import environment_metadata
-from repro.bench.nodecode import SHAPES, compiled_shapes
+from repro.bench.nodecode import SHAPES, compiled_shapes, make_plan
 from repro.bench.workloads import Table2Case, table2_cases
 from repro.core.counting import local_allocation_size
 from repro.machine.vm import VirtualMachine
@@ -74,7 +74,6 @@ from repro.runtime import (
     compute_comm_schedule,
     distribute,
     execute_fill,
-    make_plan,
     materialize_addresses,
     native_available,
 )

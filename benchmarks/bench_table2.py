@@ -8,10 +8,9 @@ scaled to the stride exactly as in the paper.
 import numpy as np
 import pytest
 
-from repro.bench.nodecode import SHAPES
+from repro.bench.nodecode import SHAPES, make_plan
 from repro.bench.workloads import table2_cases
 from repro.core.counting import local_allocation_size
-from repro.runtime.address import make_plan
 
 CASES = table2_cases()
 IDS = [f"k{c.k}-s{c.s}" for c in CASES]

@@ -79,7 +79,6 @@ from .runtime import (
     distribute,
     execute_copy,
     execute_fill,
-    make_plan,
 )
 
 __version__ = "1.0.0"
@@ -120,7 +119,6 @@ __all__ = [
     "localize_section",
     # machine / runtime / lang
     "VirtualMachine",
-    "make_plan",
     "compute_comm_schedule",
     "cached_comm_schedule",
     "cache_stats",

@@ -28,6 +28,12 @@ Each shape exists three ways here, all writing the same addresses:
   initializers (:func:`emit_node_code` and the harnesses around it),
   timed natively by :mod:`repro.bench.table2_c`.
 
+The shapes walk a :class:`NodePlan` (from :func:`make_plan`): the
+runtime's visit-order ΔM table plus what only node code reads -- the last
+local address the loops compare against and the shape-(d) offset-indexed
+tables of :func:`repro.core.compute_offset_tables`.  Shape (v) also takes
+a runtime :class:`repro.runtime.address.AccessPlan`.
+
 Every fill assigns ``value`` to each element the plan covers and returns
 the number of elements written.  The Python shapes accept a NumPy array,
 a Python list, or a :class:`repro.machine.TracingMemory`; the compiled
@@ -38,14 +44,22 @@ hashed ``.so`` cache of :mod:`repro.runtime.native.build`.
 from __future__ import annotations
 
 import ctypes
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..runtime.address import AccessPlan, materialize_addresses
+from ..core.access import compute_access_table
+from ..core.counting import last_location, local_count
+from ..core.offsets import compute_offset_tables
+from ..distribution.layout import CyclicLayout
+from ..distribution.section import RegularSection
+from ..runtime.address import materialize_addresses
 from ..runtime.native.build import load_library
 
 __all__ = [
+    "NodePlan",
+    "make_plan",
     "fill_shape_a",
     "fill_shape_b",
     "fill_shape_c",
@@ -60,7 +74,67 @@ __all__ = [
 ]
 
 
-def fill_shape_a(memory, plan: AccessPlan, value) -> int:
+@dataclass(frozen=True, slots=True)
+class NodePlan:
+    """One processor's Figure 8 plan for ``A(l:u:s)`` under an
+    identity-aligned ``cyclic(k)`` distribution.
+
+    ``delta_m`` is in visit order (shapes a-c); ``delta_m_by_offset`` /
+    ``next_offset`` / ``start_offset`` feed shape (d).  The loops run
+    while the address is ``<= last_local``.  ``count == 0`` plans have
+    ``start_local is None``.
+    """
+
+    p: int
+    k: int
+    m: int
+    count: int
+    length: int
+    start_local: int | None
+    last_local: int | None
+    delta_m: tuple[int, ...]
+    start_offset: int | None
+    delta_m_by_offset: tuple[int, ...]
+    next_offset: tuple[int, ...]
+
+    @property
+    def is_empty(self) -> bool:
+        return self.count == 0
+
+
+def make_plan(p: int, k: int, l: int, u: int, s: int, m: int) -> NodePlan:
+    """Build the Figure 8 plan for ``A(l:u:s)`` on processor ``m``.
+
+    Negative strides are normalized first (the paper's Section 2
+    reduction); traversal is always in increasing index order.
+    """
+    section = RegularSection(l, u, s).normalized()
+    count = 0
+    if not section.is_empty:
+        l, u, s = section.lower, section.upper, section.stride
+        count = local_count(p, k, l, u, s, m)
+    if count == 0:
+        return NodePlan(p, k, m, 0, 0, None, None, (), None, (), ())
+
+    table = compute_access_table(p, k, l, s, m)
+    offsets = compute_offset_tables(p, k, l, s, m)
+    last_global = last_location(p, k, l, u, s, m)
+    return NodePlan(
+        p=p,
+        k=k,
+        m=m,
+        count=count,
+        length=table.length,
+        start_local=table.start_local,
+        last_local=CyclicLayout(p, k).local_address_on(last_global, m),
+        delta_m=table.gaps,
+        start_offset=offsets.start_offset,
+        delta_m_by_offset=offsets.delta_m,
+        next_offset=offsets.next_offset,
+    )
+
+
+def fill_shape_a(memory, plan: NodePlan, value) -> int:
     """Figure 8(a): ``i = (i + 1) % length`` -- mod every iteration."""
     if plan.count == 0:
         return 0
@@ -78,7 +152,7 @@ def fill_shape_a(memory, plan: AccessPlan, value) -> int:
     return written
 
 
-def fill_shape_b(memory, plan: AccessPlan, value) -> int:
+def fill_shape_b(memory, plan: NodePlan, value) -> int:
     """Figure 8(b): compare-and-reset instead of ``mod`` (what Chatterjee
     et al.'s implementation actually used, per the paper's footnote)."""
     if plan.count == 0:
@@ -99,7 +173,7 @@ def fill_shape_b(memory, plan: AccessPlan, value) -> int:
     return written
 
 
-def fill_shape_c(memory, plan: AccessPlan, value) -> int:
+def fill_shape_c(memory, plan: NodePlan, value) -> int:
     """Figure 8(c): ``for`` over the table inside ``while (TRUE)``, exit
     via ``goto done`` -- emulated with a flag and ``break``."""
     if plan.count == 0:
@@ -121,7 +195,7 @@ def fill_shape_c(memory, plan: AccessPlan, value) -> int:
     return written
 
 
-def fill_shape_d(memory, plan: AccessPlan, value) -> int:
+def fill_shape_d(memory, plan: NodePlan, value) -> int:
     """Figure 8(d): two-table lookup indexed by local offset (the fastest
     shape of Table 2; requires the Section 6.2 offset-indexed tables)."""
     if plan.count == 0:
@@ -140,7 +214,7 @@ def fill_shape_d(memory, plan: AccessPlan, value) -> int:
     return written
 
 
-def fill_vectorized(memory, plan: AccessPlan, value) -> int:
+def fill_vectorized(memory, plan, value) -> int:
     """Shape (v): one fancy-indexed store over the materialized address
     vector (ablation A4; idiomatic NumPy, no per-element interpretation)."""
     addrs = materialize_addresses(plan)
@@ -261,19 +335,16 @@ def compiled_shapes() -> dict[str, Callable]:
     lib.repro_fill_d.restype = ctypes.c_long
 
     def table_walk(fn):
-        def fill(memory, plan: AccessPlan, value) -> int:
+        def fill(memory, plan: NodePlan, value) -> int:
             if plan.count == 0:
                 return 0
             return int(fn(memory, float(value), plan.start_local,
                           plan.last_local, _table(plan.delta_m), plan.length))
         return fill
 
-    def fill_d(memory, plan: AccessPlan, value) -> int:
+    def fill_d(memory, plan: NodePlan, value) -> int:
         if plan.count == 0:
             return 0
-        if plan.start_offset is None:
-            raise ValueError("shape 'd' needs offset-indexed tables "
-                             "(identity alignment)")
         return int(lib.repro_fill_d(
             memory, float(value), plan.start_local, plan.last_local,
             _table(plan.delta_m_by_offset), _table(plan.next_offset),
@@ -302,7 +373,7 @@ def _static_int_array(name: str, values) -> str:
     return f"static const long {name}[{max(len(values), 1)}] = {{{body}}};"
 
 
-def emit_node_code(plan: AccessPlan, shape: str, value: float = 100.0) -> str:
+def emit_node_code(plan: NodePlan, shape: str, value: float = 100.0) -> str:
     """C function ``node_code(double *A)`` for one processor's share of
     ``A(l:u:s) = value`` using the given Figure 8 shape, its tables
     embedded as static initializers (the paper's Section 6.1 case of
@@ -315,8 +386,6 @@ def emit_node_code(plan: AccessPlan, shape: str, value: float = 100.0) -> str:
             f"/* {_HEADERS[shape]} -- this processor owns no section elements */\n"
             "void node_code(double *A) { (void)A; }\n"
         )
-    if shape == "d" and plan.start_offset is None:
-        raise ValueError("shape 'd' needs offset-indexed tables (identity alignment)")
 
     lines = [f"/* {_HEADERS[shape]} */"]
     lines.append(f"#define STARTMEM {plan.start_local}")
@@ -378,7 +447,7 @@ def emit_node_code(plan: AccessPlan, shape: str, value: float = 100.0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_harness(plan: AccessPlan, shape: str, memory_size: int,
+def emit_harness(plan: NodePlan, shape: str, memory_size: int,
                  value: float = 100.0) -> str:
     """Complete C program: the node code plus a ``main`` that prints the
     written addresses in order (one per line) -- the address stream the
@@ -402,7 +471,7 @@ def emit_harness(plan: AccessPlan, shape: str, memory_size: int,
     )
 
 
-def emit_timing_harness(plan: AccessPlan, shape: str, memory_size: int,
+def emit_timing_harness(plan: NodePlan, shape: str, memory_size: int,
                         value: float = 100.0) -> str:
     """C program that times ``node_code`` and prints the best
     per-invocation microseconds.
@@ -446,7 +515,7 @@ def emit_timing_harness(plan: AccessPlan, shape: str, memory_size: int,
     )
 
 
-def emit_timing_library(plan: AccessPlan, shape: str, memory_size: int,
+def emit_timing_library(plan: NodePlan, shape: str, memory_size: int,
                         value: float = 100.0) -> str:
     """Shared-library variant of :func:`emit_timing_harness`.
 

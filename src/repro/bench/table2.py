@@ -16,8 +16,7 @@ import argparse
 import numpy as np
 
 from ..core.counting import local_allocation_size
-from ..runtime.address import make_plan
-from .nodecode import SHAPES
+from .nodecode import SHAPES, make_plan
 from .report import format_markdown, format_table
 from .timers import time_us
 from .workloads import PAPER_P, Table2Case, table2_cases

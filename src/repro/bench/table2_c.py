@@ -23,9 +23,8 @@ import argparse
 import ctypes
 
 from ..core.counting import local_allocation_size
-from ..runtime.address import make_plan
 from ..runtime.native.build import NativeBuildError, find_compiler, load_library
-from .nodecode import emit_timing_library
+from .nodecode import emit_timing_library, make_plan
 from .report import format_markdown, format_table
 from .workloads import PAPER_P, Table2Case, table2_cases
 

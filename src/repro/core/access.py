@@ -25,7 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .euclid import extended_gcd
+from .kernels import expand_table
 from .lattice import LatticePoint, RLBasis, compute_rl_basis
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "StartInfo",
     "start_location",
     "compute_access_table",
+    "expand_sequence",
 ]
 
 
@@ -48,6 +52,32 @@ def _validate(p: int, k: int, s: int, m: int) -> None:
         )
     if not 0 <= m < p:
         raise ValueError(f"processor number m={m} out of range [0, {p})")
+
+
+def expand_sequence(start, gaps, count: int, vectorized: bool = False):
+    """First ``count`` terms of ``a_0 = start, a_{t+1} = a_t + gaps[t % L]``.
+
+    The one expansion of a periodic access sequence, behind the accessors
+    of :class:`AccessTable` and
+    :class:`repro.distribution.localize.LocalizedTable`: a list built by
+    the scalar recurrence (the reference path), or with ``vectorized``
+    one int64 vector from :func:`repro.core.kernels.expand_table`.  Empty
+    ``gaps`` mean the processor owns no section elements, so only
+    ``count == 0`` is valid.
+    """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    if not gaps:
+        if count:
+            raise ValueError("processor owns no section elements")
+        return np.empty(0, dtype=np.int64) if vectorized else []
+    if vectorized:
+        return expand_table(start, gaps, count)
+    out = []
+    for t in range(count):
+        out.append(start)
+        start += gaps[t % len(gaps)]
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,62 +165,21 @@ class AccessTable:
 
     def local_addresses(self, count: int) -> list[int]:
         """First ``count`` local addresses of the access sequence."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return []
-        out = []
-        addr = self.start_local
-        for t in range(count):
-            out.append(addr)
-            addr += self.gaps[t % self.length]
-        return out
+        return expand_sequence(self.start_local, self.gaps, count)
 
     def global_indices(self, count: int) -> list[int]:
         """First ``count`` global array indices of the access sequence."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return []
-        out = []
-        idx = self.start
-        for t in range(count):
-            out.append(idx)
-            idx += self.index_gaps[t % self.length]
-        return out
+        return expand_sequence(self.start, self.index_gaps, count)
 
-    def local_addresses_array(self, count: int):
+    def local_addresses_array(self, count: int) -> np.ndarray:
         """First ``count`` local addresses as one int64 vector (the
-        vectorized form of :meth:`local_addresses`, via
-        :func:`repro.core.kernels.expand_table`)."""
-        from .kernels import expand_table
-        import numpy as np
+        vectorized form of :meth:`local_addresses`)."""
+        return expand_sequence(self.start_local, self.gaps, count, vectorized=True)
 
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return np.empty(0, dtype=np.int64)
-        return expand_table(self.start_local, self.gaps, count)
-
-    def global_indices_array(self, count: int):
+    def global_indices_array(self, count: int) -> np.ndarray:
         """First ``count`` global indices as one int64 vector (the
         vectorized form of :meth:`global_indices`)."""
-        from .kernels import expand_table
-        import numpy as np
-
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return np.empty(0, dtype=np.int64)
-        return expand_table(self.start, self.index_gaps, count)
+        return expand_sequence(self.start, self.index_gaps, count, vectorized=True)
 
     def iter_local_addresses(self) -> Iterator[int]:
         """Endless stream of local addresses (use with an upper bound)."""

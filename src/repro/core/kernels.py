@@ -45,11 +45,9 @@ def expand_table(start: int, gaps, count: int) -> np.ndarray:
     """First ``count`` terms of the periodic-gap sequence, vectorized.
 
     Equivalent to the scalar recurrence ``a_0 = start;
-    a_{t+1} = a_t + gaps[t % len(gaps)]`` -- the expansion idiom of
-    :meth:`repro.core.access.AccessTable.local_addresses`,
-    :meth:`repro.distribution.localize.LocalizedTable.slots` and
-    ``.indices`` -- in O(count) vector operations: tile the gap table,
-    exclusive-``cumsum``, add the start.
+    a_{t+1} = a_t + gaps[t % len(gaps)]`` of
+    :func:`repro.core.access.expand_sequence` in O(count) vector
+    operations: tile the gap table, exclusive-``cumsum``, add the start.
     """
     ambient().inc("kernels.expand_table")
     if count < 0:

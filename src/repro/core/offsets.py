@@ -12,16 +12,17 @@ the walk lands on.  The paper's Section 6.2 gives the modified loop body
     offset                   = offset + b_r
 
 (and the analogous changes for Equations 2 and 3).  The start slot is
-``startoffset = start mod k``.
+``startoffset = start mod k``.  Those assignments record the steps the
+visit-order walk takes anyway, so :func:`compute_offset_tables` derives
+the tables from Figure 5's :class:`~repro.core.access.AccessTable`
+rather than walking the R/L basis a second time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .access import start_location
-from .euclid import extended_gcd
-from .lattice import compute_rl_basis
+from .access import compute_access_table
 
 __all__ = ["OffsetTables", "compute_offset_tables"]
 
@@ -78,56 +79,22 @@ class OffsetTables:
 
 
 def compute_offset_tables(p: int, k: int, l: int, s: int, m: int) -> OffsetTables:
-    """Figure 5 with the Section 6.2 modifications for code shape 8(d)."""
-    if s <= 0:
-        raise ValueError(f"stride must be positive, got s={s}")
-    pk = p * k
-    d, _, _ = extended_gcd(s, pk)
+    """Figure 5's ΔM table re-indexed by local offset, for code shape 8(d).
 
-    info = start_location(p, k, l, s, m)
-    start, length = info.start, info.length
-    if length == 0:
+    The visit-order table already holds every step the Section 6.2 loop
+    records: the walk leaves local address ``addr_t`` (at local offset
+    ``addr_t mod k``) with gap ``gaps[t]`` and lands on ``addr_{t+1}``.
+    """
+    table = compute_access_table(p, k, l, s, m)
+    if table.is_empty:
         return OffsetTables(p, k, l, s, m, None, None, 0, (), ())
-    start_offset = start % k
+    addrs = table.local_addresses(table.length + 1)
     delta_m = [UNUSED] * k
     next_offset = [UNUSED] * k
-    if length == 1:
-        delta_m[start_offset] = k * s // d
-        next_offset[start_offset] = start_offset
-        return OffsetTables(
-            p, k, l, s, m, start, start_offset, 1,
-            tuple(delta_m), tuple(next_offset),
-        )
-
-    basis = compute_rl_basis(p, k, s)
-    (br, ar), (bl, al) = basis.r.vector, basis.l.vector
-    gap_r = ar * k + br
-    gap_l = -(al * k + bl)
-
-    offset = start % pk
-    lo, hi = k * m, k * (m + 1)
-    i = 0
-    while i < length:
-        while i < length and offset + br < hi:
-            slot = offset - lo
-            delta_m[slot] = gap_r
-            next_offset[slot] = slot + br
-            offset += br
-            i += 1
-        if i == length:
-            break
-        slot = offset - lo
-        gap = gap_l
-        new_offset = offset - bl
-        if new_offset < lo:
-            gap += gap_r
-            new_offset += br
-        delta_m[slot] = gap
-        next_offset[slot] = new_offset - lo
-        offset = new_offset
-        i += 1
-
+    for t, gap in enumerate(table.gaps):
+        delta_m[addrs[t] % k] = gap
+        next_offset[addrs[t] % k] = addrs[t + 1] % k
     return OffsetTables(
-        p, k, l, s, m, start, start_offset, length,
+        p, k, l, s, m, table.start, addrs[0] % k, table.length,
         tuple(delta_m), tuple(next_offset),
     )

@@ -22,6 +22,10 @@ implements that scheme:
 The combined gap table is periodic with the *section* table's cycle
 length, because one section period spans an integral number of
 allocation periods (``d_alloc * s / d_sect`` of them).
+
+Under the identity alignment application 1 maps every template-local
+address to itself, so :func:`localize_section` builds the section table
+alone: one Figure 5 table, no rank function.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.access import AccessTable, compute_access_table
+from ..core.access import AccessTable, compute_access_table, expand_sequence
 from ..core.counting import local_count
 from ..core.euclid import extended_gcd
-from ..core.kernels import expand_table, periodic_floor_rank_of, periodic_rank_of
+from ..core.kernels import periodic_floor_rank_of, periodic_rank_of
 from .align import Alignment
 from .section import RegularSection
 
@@ -42,6 +46,7 @@ __all__ = [
     "RankFunction",
     "LocalizedTable",
     "localize_section",
+    "bounded_count",
     "localized_elements",
     "localized_arrays",
 ]
@@ -146,55 +151,21 @@ class LocalizedTable:
 
     def slots(self, count: int) -> list[int]:
         """First ``count`` array-local slots of the sequence."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return []
-        out = []
-        slot = self.start_slot
-        for t in range(count):
-            out.append(slot)
-            slot += self.gaps[t % self.length]
-        return out
+        return expand_sequence(self.start_slot, self.gaps, count)
 
     def indices(self, count: int) -> list[int]:
         """First ``count`` global array indices of the sequence."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return []
-        out = []
-        idx = self.start_index
-        for t in range(count):
-            out.append(idx)
-            idx += self.index_gaps[t % self.length]
-        return out
+        return expand_sequence(self.start_index, self.index_gaps, count)
 
     def slots_array(self, count: int) -> np.ndarray:
         """First ``count`` array-local slots as one int64 vector (the
         vectorized form of :meth:`slots`)."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return np.empty(0, dtype=np.int64)
-        return expand_table(self.start_slot, self.gaps, count)
+        return expand_sequence(self.start_slot, self.gaps, count, vectorized=True)
 
     def indices_array(self, count: int) -> np.ndarray:
         """First ``count`` global array indices as one int64 vector (the
         vectorized form of :meth:`indices`)."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if self.is_empty:
-            if count:
-                raise ValueError("processor owns no section elements")
-            return np.empty(0, dtype=np.int64)
-        return expand_table(self.start_index, self.index_gaps, count)
+        return expand_sequence(self.start_index, self.index_gaps, count, vectorized=True)
 
 
 def localize_section(
@@ -208,9 +179,11 @@ def localize_section(
     """Two-application access sequence for ``A(section)`` on processor ``m``.
 
     ``extent`` is the array's size ``n`` (elements ``0..n-1``); the
-    section must lie within ``[0, extent)``.  The sequence follows
+    section must lie within ``[0, extent)`` (``IndexError`` otherwise).
+    Negative strides are normalized first.  The sequence follows
     *template* order, i.e. increasing array index when ``alignment.a > 0``
-    and decreasing when ``a < 0``.
+    and decreasing when ``a < 0``.  Under the identity alignment the
+    allocation run does nothing and one Figure 5 table is built.
     """
     norm = section.normalized()
     if norm.is_empty:
@@ -218,20 +191,28 @@ def localize_section(
     if norm.lower < 0 or norm.upper >= extent:
         raise IndexError(f"section {section} outside array extent {extent}")
 
-    # Application 1: allocation sequence (template stride |a|).
-    alloc = alignment.allocation_section(extent).normalized()
-    alloc_table = compute_access_table(p, k, alloc.lower, alloc.stride, m)
-    if alloc_table.is_empty:
-        # Processor holds no array elements at all, hence none of the section.
-        return LocalizedTable(p, k, m, alignment, None, None, 0, (), ())
-    ranks = RankFunction(alloc_table)
-
-    # Application 2: the section's image on the template axis, in
-    # template (increasing-cell) order.
+    # Application 2 (built first): the section's image on the template
+    # axis, in template (increasing-cell) order.  Its cells are
+    # allocation cells, so a processor it misses holds none of the
+    # section, whatever it allocates.
     image = alignment.apply_section(norm).normalized()
     sec_table = compute_access_table(p, k, image.lower, image.stride, m)
     if sec_table.is_empty:
         return LocalizedTable(p, k, m, alignment, None, None, 0, (), ())
+    if alignment.is_identity:
+        # Application 1 is the identity: each template-local address is
+        # its own compressed slot, so the section table is the answer.
+        return LocalizedTable(
+            p, k, m, alignment, sec_table.start, sec_table.start_local,
+            sec_table.length, sec_table.gaps, sec_table.index_gaps,
+        )
+
+    # Application 1: allocation sequence (template stride |a|).  It is
+    # non-empty here, because the section's cells are allocation cells.
+    alloc = alignment.allocation_section(extent).normalized()
+    ranks = RankFunction(
+        compute_access_table(p, k, alloc.lower, alloc.stride, m)
+    )
 
     # Map one cycle (plus the wrap point) of template-local addresses to
     # array-local slots and difference them.
@@ -251,7 +232,7 @@ def localize_section(
     )
 
 
-def _bounded_count(
+def bounded_count(
     p: int, k: int, alignment: Alignment, section: RegularSection, m: int
 ) -> int:
     """Owned-element count of the bounded section on processor ``m``."""
@@ -280,7 +261,7 @@ def localized_elements(
     table = localize_section(p, k, extent, alignment, section, m)
     if table.is_empty:
         return []
-    count = _bounded_count(p, k, alignment, section, m)
+    count = bounded_count(p, k, alignment, section, m)
     return list(zip(table.indices(count), table.slots(count)))
 
 
@@ -306,7 +287,7 @@ def localized_arrays(
     if table.is_empty:
         indices = slots = np.empty(0, dtype=np.int64)
     else:
-        count = _bounded_count(p, k, alignment, section, m)
+        count = bounded_count(p, k, alignment, section, m)
         indices = table.indices_array(count)
         slots = table.slots_array(count)
     indices.flags.writeable = False

@@ -33,10 +33,13 @@ def brute_localized(p, k, extent, alignment, section, m):
 def localize_params(draw):
     p = draw(st.integers(min_value=1, max_value=6))
     k = draw(st.integers(min_value=1, max_value=10))
-    a = draw(st.integers(min_value=-4, max_value=4).filter(lambda v: v != 0))
     n = draw(st.integers(min_value=1, max_value=50))
-    # Keep template cells nonnegative: for a < 0 shift b up.
-    b = draw(st.integers(min_value=0, max_value=8)) + (-(a) * (n - 1) if a < 0 else 0)
+    if draw(st.booleans()):
+        a, b = 1, 0  # the identity: localize_section's one-table case
+    else:
+        a = draw(st.integers(min_value=-4, max_value=4).filter(lambda v: v != 0))
+        # Keep template cells nonnegative: for a < 0 shift b up.
+        b = draw(st.integers(min_value=0, max_value=8)) + (-a * (n - 1) if a < 0 else 0)
     l = draw(st.integers(min_value=0, max_value=n - 1))
     u = draw(st.integers(min_value=l, max_value=n - 1))
     s = draw(st.integers(min_value=1, max_value=12))

@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.bench.nodecode import make_plan
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
-from repro.runtime.address import make_array_plan, make_plan, materialize_addresses
+from repro.runtime.address import make_array_plan, materialize_addresses
 
 from ..conftest import bounded_access_params
 
@@ -58,9 +59,10 @@ class TestMakeArrayPlan:
         arr = self._array()
         sec = RegularSection(4, 319, 9)
         for rank in range(4):
-            got = make_array_plan(arr, 0, sec, rank)
-            want = make_plan(4, 8, 4, 319, 9, rank)
-            assert got == want
+            got = materialize_addresses(make_array_plan(arr, 0, sec, rank))
+            bench = materialize_addresses(make_plan(4, 8, 4, 319, 9, rank))
+            want = [a for _, a in enumerate_local_elements(4, 8, 4, 319, 9, rank)]
+            assert got.tolist() == bench.tolist() == want
 
     def test_aligned_plan(self):
         arr = self._array(a=2, b=1, n=100, textent=256)
@@ -71,7 +73,6 @@ class TestMakeArrayPlan:
             total += plan.count
             if plan.is_empty:
                 continue
-            assert plan.start_offset is None  # shape (d) unsupported
             addrs = list(materialize_addresses(plan))
             want = [
                 arr.local_address((i,), rank)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.machine.trace import TracingMemory
-from repro.bench.nodecode import SHAPES
-from repro.runtime.address import make_plan, materialize_addresses
+from repro.bench.nodecode import SHAPES, make_plan
+from repro.runtime.address import materialize_addresses
 
 from ..conftest import bounded_access_params
 

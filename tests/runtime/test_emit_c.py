@@ -12,9 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.bench.nodecode import emit_harness, emit_node_code
+from repro.bench.nodecode import emit_harness, emit_node_code, make_plan
 from repro.core.baselines.naive import enumerate_local_elements
-from repro.runtime.address import make_plan
 
 PAPER = dict(p=4, k=8, l=4, u=319, s=9, m=1)
 
@@ -58,23 +57,6 @@ class TestStructure:
         plan = make_plan(2, 1, 0, 100, 4, 1)
         code = emit_node_code(plan, "b")
         assert "owns no section elements" in code
-
-    def test_shape_d_needs_offsets(self):
-        from repro.distribution.align import Alignment
-        from repro.distribution.array import AxisMap, DistributedArray
-        from repro.distribution.dist import CyclicK, ProcessorGrid
-        from repro.distribution.section import RegularSection
-        from repro.runtime.address import make_array_plan
-
-        grid = ProcessorGrid("P", (4,))
-        arr = DistributedArray(
-            "A", (100,), grid,
-            (AxisMap(CyclicK(8), Alignment(2, 1), grid_axis=0,
-                     template_extent=256),),
-        )
-        plan = make_array_plan(arr, 0, RegularSection(0, 99, 3), 0)
-        with pytest.raises(ValueError, match="offset-indexed"):
-            emit_node_code(plan, "d")
 
     def test_harness_structure(self):
         text = emit_harness(paper_plan(), "b", memory_size=128)

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
-from repro.bench.nodecode import SHAPES
+from repro.bench.nodecode import SHAPES, make_plan
 from repro.distribution.dist import Block, Collapsed, Cyclic, CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
 from repro.machine.vm import VirtualMachine
-from repro.runtime.address import make_plan
 from repro.runtime.commsets import compute_comm_schedule
 from repro.runtime.exec import collect, distribute, execute_copy, execute_fill
 
@@ -105,6 +104,18 @@ class TestFill:
         ref = np.zeros(100)
         ref[10:91:5] = 1.0
         assert np.array_equal(collect(vm, arr), ref)
+
+    @pytest.mark.parametrize("lo, hi, step", [(-8, 7, 1), (0, 68, 17)])
+    def test_fill_outside_extent_raises(self, lo, hi, step):
+        """Regression: identity-aligned rank-1 fills skipped the extent
+        check.  ``-8:7`` wrote elements 56-63 through negative indexing;
+        ``0:68:17`` stored on rank 0 before rank 1's address overflowed."""
+        arr = make_1d("A", 64, 4, 4)
+        vm = VirtualMachine(4)
+        distribute(vm, arr, np.zeros(64))
+        with pytest.raises(IndexError, match="outside array extent"):
+            execute_fill(vm, arr, (RegularSection(lo, hi, step),), 1.0)
+        assert not collect(vm, arr).any()
 
     def test_fill_aligned(self):
         arr = make_1d("A", 100, 4, 8, a=2, b=1, textent=256)

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bench.nodecode import SHAPES, compiled_shapes
+from repro.bench.nodecode import SHAPES, compiled_shapes, make_plan
 from repro.distribution import (
     Alignment,
     AxisMap,
@@ -41,7 +41,6 @@ from repro.runtime import (
     distribute,
     execute_copy,
     execute_fill,
-    make_plan,
     materialize_addresses,
 )
 from repro.runtime.native import (
@@ -215,6 +214,19 @@ class TestDifferential:
             images.append(collect(vm, arr))
         assert obs.metrics.value("native.dispatch_numpy") == 0
         assert images[0].tobytes() == images[1].tobytes()
+
+    @pytest.mark.parametrize("lo, hi, step", [(-8, 7, 1), (0, 68, 17)])
+    def test_fill_outside_extent_raises(self, native_env, lo, hi, step):
+        """Regression: the compiled indexed store does no bounds check,
+        so an identity-aligned section outside the extent wrote outside
+        the ranks' arenas (and could crash the interpreter)."""
+        arr = make_1d("A", 64, 4, 4)
+        vm = VirtualMachine(4)
+        distribute(vm, arr, np.zeros(64), native=True)
+        with pytest.raises(IndexError, match="outside array extent"):
+            execute_fill(vm, arr, (RegularSection(lo, hi, step),), 1.0,
+                         native=True)
+        assert not collect(vm, arr, native=True).any()
 
     def test_execute_copy_bit_identical(self, native_env):
         clear_plan_caches()
