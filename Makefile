@@ -71,6 +71,7 @@ faults:
 		echo "== fault sweep, seed $$seed"; \
 		if ! FAULT_SEEDS=$$seed pytest -q \
 			tests/machine/test_faults.py \
+			tests/machine/test_audit.py \
 			tests/machine/test_checkpoint.py \
 			tests/runtime/test_resilient.py \
 			tests/runtime/test_property_sweep.py \

@@ -8,20 +8,20 @@ faithfully packed, retransmitted, checkpointed, and "recovered", which
 is exactly the silent-data-corruption failure mode fleet-scale studies
 report.  This module is the detection layer (docs/FAULT_MODEL.md §5).
 
-An :class:`IntegrityAuditor` keeps, per ``(rank, arena)``, a *block
-checksum ledger*: the arena is divided into fixed-size chunks of
-``chunk_size`` elements, each with a CRC-32, backed by a shadow copy of
-the last known-legitimate contents.  The runtime *notes* every
-legitimate write (:meth:`IntegrityAuditor.note_write`); the ledger folds
-those notes in at the superstep barrier via the virtual machine's
-``barrier_hooks`` -- which run **before** fault injection, so the ledger
-always reflects the pre-rot state.  An :meth:`IntegrityAuditor.audit`
-pass then localizes any divergence to a chunk, the exact diverged local
-addresses within it, and (via :func:`localize_divergence`, using the
-paper's own access-sequence machinery in
-:mod:`repro.distribution.localize`) the owned global array indices --
-"rank 2's A, chunk 3, slots 17-19, global indices 134:146:6" instead of
-"something is wrong".
+An :class:`IntegrityAuditor` keeps, per ``(rank, arena)``, a *ledger*:
+a shadow copy of the last known-legitimate contents.  The runtime
+*notes* every legitimate write (:meth:`IntegrityAuditor.note_write`);
+the ledger folds those notes into the shadow at the superstep barrier
+via the virtual machine's ``barrier_hooks`` -- which run **before**
+fault injection, so the ledger always reflects the pre-rot state.  An
+:meth:`IntegrityAuditor.audit` pass compares each arena's bytes with its
+shadow in one comparison.  Only an arena that differs is localized
+further: to each ``chunk_size``-element chunk holding differing bytes,
+the exact diverged local addresses within it, and (via
+:func:`localize_divergence`, using the paper's own access-sequence
+machinery in :mod:`repro.distribution.localize`) the owned global array
+indices -- "rank 2's A, chunk 3, slots 17-19, global indices 134:146:6"
+instead of "something is wrong".
 
 The auditor only *detects*; repair policy (re-fetch from the sender's
 retransmit buffer, chunk restore from checkpoint, full rank restore)
@@ -30,7 +30,6 @@ belongs to the verified-exchange mode of :mod:`repro.runtime.resilient`.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,14 +52,6 @@ __all__ = [
 # sentinel instead of a chunk number; localization has failed and the
 # caller must escalate to a full rank restore.
 WHOLE_ARENA = -1
-
-
-def _chunk_crcs(data: np.ndarray, chunk_bytes: int) -> list[int]:
-    raw = data.reshape(-1).view(np.uint8)
-    return [
-        zlib.crc32(raw[off : off + chunk_bytes].tobytes())
-        for off in range(0, raw.size, chunk_bytes)
-    ] or [zlib.crc32(b"")]
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,54 +89,48 @@ class AuditStats:
 
 
 class _ArenaLedger:
-    """Shadow copy + per-chunk CRC table for one ``(rank, arena)``."""
+    """Shadow copy of one ``(rank, arena)``: the ledger *is* the shadow.
 
-    __slots__ = ("shadow", "chunk_size", "chunk_bytes", "crcs")
+    The shadow holds the last legitimate contents; an audit is one
+    bytewise comparison of the live arena against it, and only an arena
+    that differs pays for bucketing its differing bytes into chunks.
+    """
+
+    __slots__ = ("shadow", "chunk_size")
 
     def __init__(self, arena: np.ndarray, chunk_size: int) -> None:
         self.shadow = arena.copy()
         self.chunk_size = chunk_size
-        self.chunk_bytes = chunk_size * arena.dtype.itemsize
-        self.crcs = _chunk_crcs(self.shadow, self.chunk_bytes)
 
     def matches_layout(self, arena: np.ndarray) -> bool:
         return (
             arena.shape == self.shadow.shape and arena.dtype == self.shadow.dtype
         )
 
+    @property
+    def chunks(self) -> int:
+        """Chunks an audit covers: ``ceil(size / chunk_size)``, at least
+        1 (an empty arena is one empty chunk)."""
+        return max(1, -(-self.shadow.size // self.chunk_size))
+
     def refresh(self, slots: np.ndarray, arena: np.ndarray) -> None:
-        """Fold legitimately-written element slots into the shadow and
-        recompute the CRCs of every touched chunk."""
+        """Fold legitimately-written element slots into the shadow."""
         self.shadow[slots] = arena[slots]
-        raw = self.shadow.reshape(-1).view(np.uint8)
-        for c in np.unique(slots // self.chunk_size):
-            off = int(c) * self.chunk_bytes
-            self.crcs[int(c)] = zlib.crc32(
-                raw[off : off + self.chunk_bytes].tobytes()
-            )
 
     def audit(self, arena: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-        """``(chunk, diverged_slots)`` pairs where the live arena's bytes
-        no longer CRC-match the ledger."""
+        """``(chunk, diverged_slots)`` pairs, in chunk order, where the
+        live arena's bytes differ from the shadow's.  Bytewise, so a
+        ``-0.0`` or a changed NaN payload diverges like any other bit."""
         live = np.ascontiguousarray(arena).reshape(-1).view(np.uint8)
         shadow = self.shadow.reshape(-1).view(np.uint8)
-        out = []
-        for c, crc in enumerate(self.crcs):
-            off = c * self.chunk_bytes
-            window = live[off : off + self.chunk_bytes]
-            if zlib.crc32(window.tobytes()) == crc:
-                continue
-            diff = np.nonzero(window != shadow[off : off + self.chunk_bytes])[0]
-            slots = tuple(
-                sorted(
-                    {
-                        (off + int(b)) // self.shadow.dtype.itemsize
-                        for b in diff
-                    }
-                )
-            )
-            out.append((c, slots))
-        return out
+        if np.array_equal(live, shadow):
+            return []
+        slots = np.unique(np.nonzero(live != shadow)[0] // self.shadow.itemsize)
+        cuts = np.flatnonzero(np.diff(slots // self.chunk_size)) + 1
+        return [
+            (int(run[0]) // self.chunk_size, tuple(run.tolist()))
+            for run in np.split(slots, cuts)
+        ]
 
     def expected(self, slots) -> np.ndarray:
         """The ledger's (trusted) values at the given element slots."""
@@ -153,7 +138,7 @@ class _ArenaLedger:
 
 
 class IntegrityAuditor:
-    """Block-checksum ledger over every live arena of a machine.
+    """Shadow ledger over every live arena of a machine.
 
     Lifecycle::
 
@@ -231,7 +216,7 @@ class IntegrityAuditor:
         self._pending.setdefault((rank, arena), []).append(slots)
 
     def commit(self, vm: VirtualMachine, superstep: int | None = None) -> None:
-        """Barrier hook: fold every noted write into the shadow/CRC
+        """Barrier hook: fold every noted write into the shadow
         ledger from the live (still pre-fault) arenas, and pick up any
         newly allocated arena.  Pending notes whose arena has vanished
         (rank crashed this barrier window) are discarded -- the crash
@@ -259,8 +244,8 @@ class IntegrityAuditor:
     def audit(
         self, vm: VirtualMachine, superstep: int | None = None
     ) -> list[Divergence]:
-        """Compare every live, ledgered arena against its chunk CRCs and
-        return (and record) the localized divergences.
+        """Compare every live, ledgered arena bytewise against its shadow
+        and return (and record) the localized divergences.
 
         Divergence means bytes changed outside any noted write since the
         last barrier commit -- at-rest corruption, never a false alarm
@@ -279,7 +264,7 @@ class IntegrityAuditor:
             if not ledger.matches_layout(arena):
                 found.append(Divergence(step, rank, name, WHOLE_ARENA, ()))
                 continue
-            self.stats.chunks_checked += len(ledger.crcs)
+            self.stats.chunks_checked += ledger.chunks
             for chunk, slots in ledger.audit(arena):
                 found.append(Divergence(step, rank, name, chunk, slots))
         self.stats.audits += 1

@@ -64,14 +64,22 @@ def payload_nbytes(payload: Any, _depth: int = 0) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Message:
+    """One point-to-point message.
+
+    ``nbytes`` is the payload's :func:`payload_nbytes`, fixed when the
+    message is built at send time: every later charge (delivery, drop,
+    quarantine, trace) reuses it.  A corrupted copy is a new message and
+    is sized anew.
+    """
+
     source: int
     dest: int
     tag: Any
     payload: Any
+    nbytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def nbytes(self) -> int:
-        return payload_nbytes(self.payload)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nbytes", payload_nbytes(self.payload))
 
 
 @dataclass

@@ -24,7 +24,7 @@ supersteps (see docs/FAULT_MODEL.md for the superstep diagram):
   staged payload, so silent data loss is a hard :class:`ExchangeFailure`
   rather than a wrong answer;
 * with an :class:`~repro.machine.audit.IntegrityAuditor` the exchange
-  runs in **verified mode** (docs/FAULT_MODEL.md §5): the block-checksum
+  runs in **verified mode** (docs/FAULT_MODEL.md §5): the shadow
   ledger is audited after every protocol round, and an in-arena
   ``scribble`` fault (bits rotting at rest, invisible to packet CRCs)
   is localized to ``(rank, arena, chunk, slots)`` and repaired in
@@ -874,12 +874,13 @@ class _Exchange:
 
     # ------------------------------------------------------------------
     # Verified mode: audit-and-repair ladder (docs/FAULT_MODEL.md §5).
-    # The auditor's shadow ledger is the *oracle* -- it tells us which
-    # bytes rotted -- but repairs deliberately source their data from
+    # The auditor's ledger is a shadow copy of each arena, and detection
+    # is one byte comparison per arena against it -- the shadow tells us
+    # which bytes rotted.  Repairs deliberately source their data from
     # real redundant storage (the senders' pack-time payload log, then
-    # the checkpoint store), the way a production ledger holding only
-    # CRCs would have to; the post-repair re-audit then verifies the
-    # repair reproduced the trusted bytes, escalating when it did not.
+    # the checkpoint store), never from the shadow; the post-repair
+    # re-audit then verifies the repair reproduced the trusted bytes,
+    # escalating when it did not.
     # ------------------------------------------------------------------
 
     def audit_and_repair(self, round_no: int) -> None:

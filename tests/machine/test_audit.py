@@ -8,9 +8,13 @@ host-side poke, an un-noted reallocation -- is localized to
 """
 
 import json
+import os
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
@@ -24,6 +28,8 @@ from repro.machine.audit import (
 from repro.machine.faults import FaultPlan
 from repro.machine.trace import FlightRecorder
 from repro.machine.vm import VirtualMachine
+
+SEEDS = [int(s) for s in os.environ.get("FAULT_SEEDS", "0").split(",")]
 
 
 def make_vm(p=2, n=16):
@@ -155,6 +161,151 @@ class TestLedger:
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError, match="chunk_size"):
             IntegrityAuditor(chunk_size=0)
+
+
+class CrcLedger:
+    """Scalar oracle: the per-chunk CRC-32 ledger the shadow comparison
+    replaced.  A CRC table over the trusted chunks, re-CRC'd per touched
+    chunk on refresh and scanned chunk by chunk on audit; a chunk whose
+    CRC mismatches reports its differing bytes' slots."""
+
+    def __init__(self, arena, chunk_size):
+        self.shadow = arena.copy()
+        self.chunk_size = chunk_size
+        self.chunk_bytes = chunk_size * arena.dtype.itemsize
+        raw = self.shadow.view(np.uint8)
+        self.crcs = [
+            zlib.crc32(raw[off : off + self.chunk_bytes].tobytes())
+            for off in range(0, raw.size, self.chunk_bytes)
+        ] or [zlib.crc32(b"")]
+
+    def refresh(self, slots, arena):
+        self.shadow[slots] = arena[slots]
+        raw = self.shadow.view(np.uint8)
+        for c in np.unique(slots // self.chunk_size):
+            off = int(c) * self.chunk_bytes
+            self.crcs[int(c)] = zlib.crc32(raw[off : off + self.chunk_bytes].tobytes())
+
+    def audit(self, arena):
+        live, shadow = arena.view(np.uint8), self.shadow.view(np.uint8)
+        itemsize = self.shadow.dtype.itemsize
+        out = []
+        for c, crc in enumerate(self.crcs):
+            off = c * self.chunk_bytes
+            window = live[off : off + self.chunk_bytes]
+            if zlib.crc32(window.tobytes()) == crc:
+                continue
+            diff = np.nonzero(window != shadow[off : off + self.chunk_bytes])[0]
+            out.append((c, tuple(sorted({(off + int(b)) // itemsize for b in diff}))))
+        return out
+
+
+SPECIAL = [0.0, -0.0, 1.5, -2.25, np.inf, np.nan]
+
+
+@st.composite
+def audit_cases(draw):
+    """Per-rank arenas (lengths 0, below ``chunk_size``, partial last
+    chunks), a chunk size, and rounds of noted writes followed by
+    un-noted byte changes: bit flips, signed-zero flips, NaN payloads."""
+    chunk_size = draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    arenas = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 3 * chunk_size + 2))
+        arenas.append(np.array(
+            draw(st.lists(st.sampled_from(SPECIAL), min_size=n, max_size=n)),
+            dtype=dtype,
+        ))
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        noted, unnoted = [], []
+        for rank, arena in enumerate(arenas):
+            if arena.size == 0:
+                continue
+            slot = st.integers(0, arena.size - 1)
+            for s in draw(st.lists(slot, max_size=4)):
+                noted.append((rank, s, draw(st.sampled_from(SPECIAL))))
+            ops = st.one_of(
+                st.tuples(st.just("flip"), st.integers(0, arena.nbytes - 1),
+                          st.integers(0, 7)),
+                st.tuples(st.just("signed_zero"), slot, st.just(0)),
+                st.tuples(st.just("nan_payload"), slot, st.integers(1, 255)),
+            )
+            for op in draw(st.lists(ops, max_size=4)):
+                unnoted.append((rank, *op))
+        rounds.append((noted, unnoted))
+    return chunk_size, arenas, rounds
+
+
+def apply_unnoted(arena, op, where, arg):
+    """Change arena bytes outside any noted write: flip bit ``arg`` of
+    byte ``where``, or change slot ``where``'s zero sign or NaN payload
+    (``arg``) so that float ``==`` cannot tell."""
+    if op == "flip":
+        arena.view(np.uint8)[where] ^= np.uint8(1 << arg)
+    elif op == "signed_zero" and arena[where] == 0:
+        arena[where] = -arena[where]
+    elif op == "nan_payload" and np.isnan(arena[where]):
+        bits = arena.view(np.uint32 if arena.itemsize == 4 else np.uint64)
+        quiet = np.array(np.nan, dtype=arena.dtype).view(bits.dtype)
+        bits[where] = quiet | bits.dtype.type(arg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=audit_cases())
+@example(  # float == cannot see either change; the audit must
+    case=(2, [np.array([0.0, np.nan, 1.0, 2.0])],
+          [([], [(0, "signed_zero", 0, 0), (0, "nan_payload", 1, 0x2A)])])
+)
+def check_audit_against_crc_oracle(case):
+    chunk_size, initial, rounds = case
+    vm = VirtualMachine(len(initial))
+
+    def alloc(ctx):
+        src = initial[ctx.rank]
+        ctx.allocate("x", src.size, dtype=src.dtype)[:] = src
+
+    vm.run(alloc)
+    auditor = IntegrityAuditor(chunk_size=chunk_size)
+    auditor.attach(vm)
+    arenas = [proc.memory("x") for proc in vm.processors]
+    oracles = [CrcLedger(a, chunk_size) for a in arenas]
+    for noted, unnoted in rounds:
+
+        def write(ctx):
+            for rank, slot, value in noted:
+                if rank == ctx.rank:
+                    ctx.memory("x")[slot] = value
+                    auditor.note_write(rank, "x", [slot])
+
+        vm.run(write)  # the barrier commits every note
+        for rank, oracle in enumerate(oracles):
+            slots = np.unique([s for r, s, _ in noted if r == rank]).astype(np.int64)
+            if slots.size:
+                oracle.refresh(slots, arenas[rank])
+        for rank, op, where, arg in unnoted:
+            apply_unnoted(arenas[rank], op, where, arg)
+        checked = auditor.stats.chunks_checked
+        got = [(d.rank, d.chunk, d.slots) for d in auditor.audit(vm)]
+        want = [
+            (rank, chunk, slots)
+            for rank, oracle in enumerate(oracles)
+            for chunk, slots in oracle.audit(arenas[rank])
+        ]
+        assert got == want
+        assert auditor.stats.chunks_checked - checked == sum(
+            len(o.crcs) for o in oracles
+        )
+
+
+class TestAgainstCrcOracle:
+    """The shadow comparison gives the per-chunk CRC scan's verdicts
+    (bar CRC-32 collisions, which the scan missed)."""
+
+    @pytest.mark.parametrize("sweep_seed", SEEDS)
+    def test_audit_matches_crc_oracle(self, sweep_seed):
+        seed(sweep_seed)(check_audit_against_crc_oracle)()
 
 
 class TestLocalizeDivergence:

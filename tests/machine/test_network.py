@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.machine.network import Message, Network
+from repro.machine.faults import FaultPlan
+from repro.machine.network import Message, Network, payload_nbytes
 
 
 class TestDelivery:
@@ -119,6 +120,39 @@ class TestStats:
         assert nbytes >= 800 + 64 + 16
         # Nested dicts stay shell-measured, like nested lists.
         assert Message(0, 1, "t", {"a": {"b": np.zeros(100)}}).nbytes < 800
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"xyz", np.zeros(4, dtype=np.int32), "text", 7, [np.zeros(3), b"ab"],
+         {"k": np.zeros(5)}],
+        ids=["bytes", "array", "str", "int", "list", "dict"],
+    )
+    def test_message_size_fixed_at_construction(self, payload):
+        msg = Message(0, 1, "t", payload)
+        assert msg.nbytes == payload_nbytes(payload)
+        if isinstance(payload, list):
+            payload.append(np.zeros(100))  # later mutation is not re-charged
+            assert msg.nbytes < payload_nbytes(payload)
+        assert msg == Message(0, 1, "t", payload)  # size is not compared
+        assert "nbytes" not in repr(msg)
+
+    @pytest.mark.parametrize(
+        "fault, counter, copies",
+        [("drop", "bytes_dropped", 1), ("duplicate", "bytes_delivered", 2),
+         ("corrupt", "bytes_delivered", 1)],
+    )
+    def test_faulty_copies_charged_payload_bytes(self, fault, counter, copies):
+        """Dropped, duplicated and corrupted messages are charged the
+        payload's bytes: once per drop, once per delivered copy, and the
+        corrupted copy (a new, same-sized message) once."""
+        net = Network(2, fault_plan=FaultPlan(seed=3, **{fault: 1.0}))
+        payloads = [np.zeros(10), b"abcd", np.arange(3, dtype=np.int16)]
+        for payload in payloads:
+            net.send(0, 1, "t", payload)
+        net.deliver()
+        want = sum(payload_nbytes(pl) for pl in payloads)
+        assert net.stats.bytes_sent == want
+        assert getattr(net.stats, counter) == copies * want
 
     def test_split_counters_on_clean_network(self):
         net = Network(2)
