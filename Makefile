@@ -1,7 +1,7 @@
 # Convenience targets for the PPoPP '95 reproduction.
 
 .PHONY: install test bench bench-kernels bench-native bench-elastic \
-	bench-e2e bench-e2e-native faults soak mp-soak elastic-soak reproduce \
+	bench-e2e faults soak mp-soak elastic-soak reproduce \
 	examples trace profile clean clean-reports
 
 # Seeds the fault-injection sweep runs under (space separated).
@@ -34,12 +34,12 @@ bench:
 bench-kernels:
 	python benchmarks/bench_kernels.py
 
-# Native-kernel focus (docs/NATIVE.md): the compiled-kernel tests, the
-# kernels benchmark with native dispatch forced on, and the compiled
-# Table 1/2 reproductions through the hashed artifact cache.
+# Compiled-C focus (docs/NATIVE.md): the artifact-cache and Figure 8
+# emitter tests, the kernels benchmark (compiled-shape rows and gates),
+# and the compiled Table 1/2 reproductions through the hashed cache.
 bench-native:
 	pytest -q tests/runtime/test_native.py tests/runtime/test_emit_c.py
-	REPRO_NATIVE=on python benchmarks/bench_kernels.py
+	python benchmarks/bench_kernels.py
 	python -m repro table1c
 	python -m repro table2c
 
@@ -54,13 +54,6 @@ bench-elastic:
 bench-e2e:
 	pytest -q benchmarks/e2e
 	python3 benchmarks/e2e/run.py --quick --trace 0 1 --out bench-e2e-quick.json
-
-# The same quick pass with native kernels forced on (docs/NATIVE.md):
-# compiled fills, packs and unpacks must leave every collected image
-# bit-identical to the oracle (exits 1 otherwise).
-bench-e2e-native:
-	REPRO_NATIVE=on python3 benchmarks/e2e/run.py --quick \
-		--workload jacobi layout-sweep --out bench-e2e-native-quick.json
 
 # Fault-injection + resilient-protocol suites at several seeds
 # (docs/FAULT_MODEL.md): same seed => same fault trace, so any failure
@@ -193,4 +186,3 @@ clean-reports:
 	rm -rf $(FAULT_REPORT_DIR)
 	rm -f trace.json trace.jsonl trace-summary.txt BENCH_*_metrics.json
 	rm -f PROFILE.json PROFILE_mp.json bench-e2e-quick.json
-	rm -f bench-e2e-native-quick.json

@@ -15,19 +15,19 @@ machine-readable rows to ``BENCH_kernels.json``:
   :mod:`repro.runtime.native.build`.  The ``fill_*`` benchmarks run the
   Table 2 grid through both the interpreted and the table-driven C
   Figure 8 shapes (:func:`repro.bench.nodecode.compiled_shapes`); rows
-  are skipped (with a note in the report) when no C compiler is
-  usable.
+  are skipped (with a note in the report) when no C compiler can build
+  them.
 
 Before timing anything the script cross-checks every vectorized path
 against its scalar oracle over a sweep of randomized configurations
 (including affine alignments, strided/negative-stride sections, empty
-owners), cross-checks the compiled shapes and the runtime kernels
-(:mod:`repro.runtime.native`) against the interpreted shapes on
-randomized plans, and **exits nonzero on any mismatch** -- CI runs it
+owners), cross-checks the compiled shapes against the interpreted ones
+on randomized plans, and **exits nonzero on any mismatch** -- CI runs it
 with ``--quick`` as a correctness smoke test.  After the native timings
-it re-runs every native fill from a cold process-state against the warm
-on-disk cache and exits nonzero if that pass performed any compilation
-(the cache contract: warm runs never invoke cc).
+it drops every loaded library handle, re-runs every compiled fill
+against the warm on-disk cache, and exits nonzero if that pass
+performed any compilation or no disk hit (the cache contract: warm runs
+never invoke cc).
 
 Usage::
 
@@ -73,11 +73,8 @@ from repro.runtime import (
     collect,
     compute_comm_schedule,
     distribute,
-    execute_fill,
-    materialize_addresses,
-    native_available,
 )
-from repro.runtime.native import get_runtime_kernels, reset_native_state
+from repro.runtime.native import NativeBuildError, clear_handle_cache
 
 
 def make_1d(name: str, n: int, p: int, k: int, a: int = 1, b: int = 0) -> DistributedArray:
@@ -167,16 +164,20 @@ def verify(draws: int, seed: int = 20260806) -> list[str]:
     return failures
 
 
-def verify_native(draws: int, seed: int = 20260807) -> list[str]:
-    """Cross-check the compiled Figure 8 shapes (a)-(d) and the runtime's
-    indexed fill (shape v) against the interpreted shapes on randomized
-    plans, and the pack/unpack kernels against fancy indexing; empty
-    list when no compiler is usable (nothing to check -- dispatch falls
-    back to the verified paths)."""
-    kernels = get_runtime_kernels()
-    if kernels is None:
-        return []
-    compiled = compiled_shapes()
+def try_compiled_shapes() -> dict | None:
+    """The compiled Figure 8 shapes, or ``None`` when no C compiler can
+    build them (none found, or it fails)."""
+    try:
+        return compiled_shapes()
+    except NativeBuildError as exc:
+        print(f"note: no usable C compiler ({str(exc).splitlines()[0]}) "
+              "-- native rows skipped")
+        return None
+
+
+def verify_native(compiled: dict, draws: int, seed: int = 20260807) -> list[str]:
+    """Cross-check the compiled Figure 8 shapes (a)-(d) against the
+    interpreted shapes on randomized plans."""
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     for i in range(draws):
@@ -190,31 +191,13 @@ def verify_native(draws: int, seed: int = 20260807) -> list[str]:
         size = local_allocation_size(p, k, u + 1, m)
         tag = f"native draw {i}: p={p} k={k} l={l} u={u} s={s} m={m}"
         value = float(rng.standard_normal())
-        for shape in "abcdv":
+        for shape in "abcd":
             ref = np.zeros(size)
             want = SHAPES[shape](ref, plan, value)
             got_mem = np.zeros(size)
-            if shape == "v":
-                got = kernels.fill_indexed(
-                    got_mem, materialize_addresses(plan), value
-                )
-            else:
-                got = compiled[shape](got_mem, plan, value)
+            got = compiled[shape](got_mem, plan, value)
             if got != want or not np.array_equal(got_mem, ref):
                 failures.append(f"fill mismatch: {tag} shape={shape}")
-        if size:
-            src = rng.standard_normal(size)
-            idx = rng.integers(0, size, size=int(rng.integers(0, 64)))
-            packed = kernels.gather(src, idx)
-            if packed is None or not np.array_equal(packed, src[idx]):
-                failures.append(f"gather mismatch: {tag}")
-            dst_n, dst_c = np.zeros(size), np.zeros(size)
-            vals = rng.standard_normal(len(idx))
-            dst_n[idx] = vals
-            if not kernels.scatter(dst_c, idx, vals) or not np.array_equal(
-                dst_c, dst_n
-            ):
-                failures.append(f"scatter mismatch: {tag}")
     return failures
 
 
@@ -316,12 +299,12 @@ def _fill_cells(cases: list[Table2Case]) -> list[tuple]:
     return cells
 
 
-def bench_fill_shapes(cases: list[Table2Case], repeats: int) -> list[dict]:
-    """The Table 2 experiment through this runtime: every Figure 8 shape
-    on every grid cell, interpreted vs compiled.  Native rows are
-    omitted when no compiler is usable."""
+def bench_fill_shapes(cases: list[Table2Case], compiled: dict | None,
+                      repeats: int) -> list[dict]:
+    """The Table 2 experiment: every Figure 8 shape on every grid cell,
+    interpreted vs ``compiled``.  Native rows are omitted when
+    ``compiled`` is ``None`` (no usable compiler)."""
     rows = []
-    compiled = compiled_shapes() if native_available() else None
     for bench, shape, plan, memory in _fill_cells(cases):
         interp = SHAPES[shape]
         t = timeit(lambda: interp(memory, plan, 100.0), repeats)
@@ -336,16 +319,13 @@ def bench_fill_shapes(cases: list[Table2Case], repeats: int) -> list[dict]:
 
 
 def warm_cache_check(cases: list[Table2Case]) -> list[str]:
-    """Re-run every native fill after dropping all in-process native
-    state -- each compiled Figure 8 shape on its Table 2 cell, and one
-    runtime ``execute_fill`` with native dispatch: the on-disk cache is
-    warm, so the pass must dlopen existing artifacts and perform
-    **zero** compilations.  Returns violations."""
-    if not native_available():
-        return []
+    """Re-run every compiled Figure 8 shape on its Table 2 cell after
+    dropping every loaded library handle: the on-disk cache is warm, so
+    the pass must dlopen existing artifacts and perform **zero**
+    compilations.  Returns violations."""
     from repro.obs import Observability, set_ambient
 
-    reset_native_state()  # forget handles; disk cache stays
+    clear_handle_cache()  # forget handles; disk cache stays
     obs = Observability()
     prev = set_ambient(obs)
     problems = []
@@ -356,10 +336,6 @@ def warm_cache_check(cases: list[Table2Case]) -> list[str]:
             if written != plan.count:
                 problems.append(f"warm-cache {bench} wrote {written} of "
                                 f"{plan.count} elements")
-        arr = make_1d("W", 64, 4, 3)
-        vm = VirtualMachine(4)
-        distribute(vm, arr, np.zeros(64))
-        execute_fill(vm, arr, (RegularSection(1, 62, 3),), 1.0, native=True)
     finally:
         set_ambient(prev)
     compiles = obs.metrics.value("native.compile")
@@ -368,8 +344,8 @@ def warm_cache_check(cases: list[Table2Case]) -> list[str]:
             f"warm-cache pass performed {compiles} compilations "
             "(cache key instability or a broken install path)"
         )
-    if not obs.metrics.value("native.dispatch_native"):
-        problems.append("warm-cache pass never dispatched a native kernel")
+    if not obs.metrics.value("native.disk_hit"):
+        problems.append("warm-cache pass never loaded an artifact from disk")
     return problems
 
 
@@ -445,20 +421,18 @@ def main(argv=None) -> int:
         return 1
     print("ok: vectorized kernels bit-identical to scalar paths")
 
-    if native_available():
-        print(f"verifying compiled kernels against interpreted shapes "
+    compiled = try_compiled_shapes()
+    if compiled is not None:
+        print(f"verifying compiled shapes against interpreted shapes "
               f"({draws} draws)...")
-        failures = verify_native(draws)
+        failures = verify_native(compiled, draws)
         if failures:
             for f in failures:
                 print(f"MISMATCH: {f}", file=sys.stderr)
             print(f"{len(failures)} native-vs-interpreted mismatches",
                   file=sys.stderr)
             return 1
-        print("ok: compiled kernels bit-identical to interpreted shapes")
-    else:
-        print("note: no usable C compiler -- native rows skipped, "
-              "NumPy fallback covers dispatch")
+        print("ok: compiled shapes bit-identical to interpreted shapes")
 
     fill_cases = table2_cases()
     if args.quick:
@@ -469,14 +443,14 @@ def main(argv=None) -> int:
     rows += bench_localized(n, args.procs, repeats)
     rows += bench_comm_schedule(n, args.procs, repeats)
     rows += bench_distribute_collect(n, args.procs, repeats)
-    rows += bench_fill_shapes(fill_cases, repeats)
+    rows += bench_fill_shapes(fill_cases, compiled, repeats)
 
-    problems = warm_cache_check(fill_cases)
-    if problems:
-        for prob in problems:
-            print(f"CACHE VIOLATION: {prob}", file=sys.stderr)
-        return 1
-    if native_available():
+    if compiled is not None:
+        problems = warm_cache_check(fill_cases)
+        if problems:
+            for prob in problems:
+                print(f"CACHE VIOLATION: {prob}", file=sys.stderr)
+            return 1
         print("ok: warm-cache native pass performed zero compilations")
         # The perf gate: compiled Figure 8 shapes must beat the
         # interpreter by >=5x on every Table 2 cell (typical: 15-100x).
@@ -496,7 +470,7 @@ def main(argv=None) -> int:
     report = {
         "config": {"n": n, "p": args.procs, "repeats": repeats,
                    "quick": args.quick, "verify_draws": draws,
-                   "native": native_available()},
+                   "native": compiled is not None},
         "environment": environment_metadata(),
         "rows": rows,
         "speedups": speedups(rows),

@@ -18,8 +18,7 @@ The compilation pipeline a real HPF compiler would run, in miniature:
    first run (through the plan cache) and reused by every later run.
 
 Fills run :func:`repro.runtime.exec.execute_fill`'s one path: each
-rank's local addresses, then one indexed store (NumPy by default,
-compiled when native kernels serve the call, ``REPRO_NATIVE=on``).
+rank's local addresses, then one NumPy indexed store.
 
 :class:`CompiledProgram.run` executes the statement list on a
 :class:`repro.machine.VirtualMachine`.

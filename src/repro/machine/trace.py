@@ -145,11 +145,6 @@ class FlightRecorder:
         self._vm.obs.events.enabled = self._prev_enabled
         self._vm = None
 
-    def sync(self) -> None:
-        """Retained for backward compatibility: events are now recorded
-        at the source (``Network.record_fault`` writes straight into the
-        event log), so there is nothing to fold in."""
-
     # ------------------------------------------------------------------
     # Recording / dumping
     # ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .elastic import (
     make_relayout_target,
     relayout,
 )
-from .emit_c import EMITTER_VERSION, emit_runtime_kernels
 from .exec import (
     collect,
     distribute,
@@ -29,14 +28,7 @@ from .exec import (
     gather_slots,
     scatter_slots,
 )
-from .native import (
-    NativeBuildError,
-    get_runtime_kernels,
-    kernels_for,
-    native_available,
-    native_mode,
-    set_native_mode,
-)
+from .native import NativeBuildError
 from .plancache import (
     cache_stats,
     cached_array_plan,
@@ -119,14 +111,7 @@ __all__ = [
     "gather_section",
     "scatter_section",
     "reduce_section",
-    "emit_runtime_kernels",
-    "EMITTER_VERSION",
     "gather_slots",
     "scatter_slots",
     "NativeBuildError",
-    "get_runtime_kernels",
-    "kernels_for",
-    "native_available",
-    "native_mode",
-    "set_native_mode",
 ]

@@ -8,7 +8,7 @@ communication schedules, and the SPMD machine runs the node programs.
   sequential NumPy "host" image and per-rank local memories (used for
   initialization and verification);
 * :func:`execute_fill` runs ``A(sections) = value``: each rank's local
-  addresses, then one indexed store;
+  addresses, then one NumPy indexed store;
 * :func:`execute_copy` runs ``A(sec_a) = B(sec_b)`` with generated
   communication (pack / exchange / unpack supersteps);
 * :func:`execute_combine` runs the scaled sum ``A(sec_a) = c0*T0(...) +
@@ -17,8 +17,10 @@ communication schedules, and the SPMD machine runs the node programs.
   right exactly as :class:`repro.lang.reference.ReferenceInterpreter`
   does (bit-identical, signed zeros included) with no zeroing pass.
 
-Every pack copies once: :func:`gather_slots` returns the fancy-index
-gather itself, which NumPy already allocates as a fresh owned buffer.
+Every fill, pack, unpack, distribute and collect is one NumPy
+fancy-index statement.  Every pack copies once: :func:`gather_slots`
+returns the fancy-index gather itself, which NumPy already allocates as
+a fresh owned buffer.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import numpy as np
 from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
 from ..machine.vm import VirtualMachine
-from ..obs import ambient
 from .address import flat_local_addresses, materialize_addresses
-from .native import kernels_for
 from .commsets import CommSchedule
 from .plancache import (
     cached_array_plan,
@@ -61,42 +61,18 @@ def as_index(slots) -> np.ndarray:
     return np.asarray(slots, dtype=np.int64)
 
 
-def gather_slots(mem, slots, kernels) -> np.ndarray:
-    """Pack ``mem[slots]`` into a fresh buffer the caller owns --
-    natively when ``kernels`` (from
-    :func:`repro.runtime.native.kernels_for`) can serve the call, else
-    the NumPy fancy-index gather (integer-array indexing already
-    allocates a new buffer, so nothing is copied twice).  The
-    executors' and the resilient exchange's one packing idiom."""
-    if kernels is not None:
-        out = kernels.gather(mem, as_index(slots))
-        if out is not None:
-            ambient().inc("native.dispatch_native")
-            return out
-        ambient().inc("native.dispatch_numpy")
+def gather_slots(mem, slots) -> np.ndarray:
+    """Pack ``mem[slots]`` into a fresh buffer the caller owns (integer
+    array indexing already allocates a new buffer, so nothing is copied
+    twice).  The executors' and the resilient exchange's one packing
+    idiom."""
     return mem[as_index(slots)]
 
 
-def scatter_slots(mem, slots, values, kernels) -> None:
+def scatter_slots(mem, slots, values) -> None:
     """Unpack ``values`` into ``mem[slots]`` -- the scatter twin of
-    :func:`gather_slots`, with the same native-or-NumPy dispatch."""
-    if kernels is not None:
-        if kernels.scatter(mem, as_index(slots), values):
-            ambient().inc("native.dispatch_native")
-            return
-        ambient().inc("native.dispatch_numpy")
+    :func:`gather_slots`."""
     mem[as_index(slots)] = values
-
-
-def _fill_slots(mem, addrs, value, kernels) -> None:
-    """``mem[addrs] = value`` -- the fill twin of :func:`scatter_slots`,
-    with the same native-or-NumPy dispatch and counters."""
-    if kernels is not None:
-        if kernels.fill_indexed(mem, addrs, value) is not None:
-            ambient().inc("native.dispatch_native")
-            return
-        ambient().inc("native.dispatch_numpy")
-    mem[addrs] = value
 
 
 def _check_vm(vm: VirtualMachine, array: DistributedArray) -> None:
@@ -151,7 +127,6 @@ def distribute(
     vm: VirtualMachine,
     array: DistributedArray,
     values: np.ndarray,
-    native: bool | None = None,
 ) -> None:
     """Scatter a host image into per-rank local memories (named after the
     array).  Replicated axes receive full copies.
@@ -160,8 +135,6 @@ def distribute(
     gather/scatter built from the per-dimension layout closed forms --
     no per-element ownership tests
     (:func:`repro.oracle.distribute_reference` keeps that scalar sweep).
-    With ``native`` (see :mod:`repro.runtime.native`), rank-1 arrays run
-    the gather/scatter pair through the compiled pack/unpack kernels.
     """
     _check_vm(vm, array)
     values = np.asarray(values)
@@ -169,20 +142,14 @@ def distribute(
         raise ValueError(
             f"host image shape {values.shape} != array shape {array.shape}"
         )
-    kernels = kernels_for(native)
     with vm.obs.span("distribute", array=array.name):
         for rank in range(array.grid.size):
             shape = array.local_shape(rank)
             local = np.zeros(shape, dtype=values.dtype)
             dims = _dim_images(array, rank)
-            if kernels is not None and array.rank == 1:
-                idx, slots = dims[0]
-                scatter_slots(local, slots, gather_slots(values, idx, kernels),
-                              kernels)
-            else:
-                local[np.ix_(*[slots for _, slots in dims])] = values[
-                    np.ix_(*[idx for idx, _ in dims])
-                ]
+            local[np.ix_(*[slots for _, slots in dims])] = values[
+                np.ix_(*[idx for idx, _ in dims])
+            ]
             proc = vm.processors[rank]
             proc.allocate(array.name, local.size, dtype=values.dtype)
             proc.memory(array.name)[:] = local.reshape(-1)
@@ -192,19 +159,16 @@ def collect(
     vm: VirtualMachine,
     array: DistributedArray,
     dtype=np.float64,
-    native: bool | None = None,
 ) -> np.ndarray:
     """Gather per-rank local memories back into one host image.
 
     Replicated elements are taken from the lowest owning rank; the
     integration tests separately assert replica coherence.  Vectorized
     like :func:`distribute`: one cross-product fancy-index per
-    contributing rank instead of a per-element ownership sweep (and the
-    compiled gather/scatter pair for rank-1 arrays under ``native``).
+    contributing rank instead of a per-element ownership sweep.
     """
     _check_vm(vm, array)
     out = np.zeros(array.shape, dtype=dtype)
-    kernels = kernels_for(native)
     with vm.obs.span("collect", array=array.name):
         for rank in range(array.grid.size):
             if not _is_lowest_owner(array, rank):
@@ -213,14 +177,9 @@ def collect(
             local = vm.processors[rank].memory(array.name).reshape(
                 array.local_shape(rank)
             )
-            if kernels is not None and array.rank == 1:
-                idx, slots = dims[0]
-                scatter_slots(out, idx, gather_slots(local, slots, kernels),
-                              kernels)
-            else:
-                out[np.ix_(*[idx for idx, _ in dims])] = local[
-                    np.ix_(*[slots for _, slots in dims])
-                ]
+            out[np.ix_(*[idx for idx, _ in dims])] = local[
+                np.ix_(*[slots for _, slots in dims])
+            ]
     return out
 
 
@@ -229,7 +188,6 @@ def execute_fill(
     array: DistributedArray,
     sections: tuple[RegularSection, ...],
     value,
-    native: bool | None = None,
 ) -> int:
     """Run ``A(sections) = value`` on every rank; returns elements written.
 
@@ -237,17 +195,14 @@ def execute_fill(
     addresses -- a rank-1 array expands its cached ΔM plan (Figure 8's
     table walk, vectorized), a multidimensional one takes the outer sum
     of its per-dimension slot vectors -- and stores ``value`` through
-    them once: compiled when ``native`` kernels
-    (:mod:`repro.runtime.native`) serve the call, else the NumPy fancy
-    store.  Every replica is written; each logical element is counted
-    once, at its lowest owner.
+    them in one NumPy fancy store.  Every replica is written; each
+    logical element is counted once, at its lowest owner.
     """
     _check_vm(vm, array)
     if len(sections) != array.rank:
         raise ValueError(
             f"need {array.rank} sections for {array.name}, got {len(sections)}"
         )
-    kernels = kernels_for(native)
     total = 0
     with vm.obs.span("execute_fill", array=array.name):
         for rank in range(array.grid.size):
@@ -259,11 +214,49 @@ def execute_fill(
                 addrs = flat_local_addresses(array, sections, rank)
             if not len(addrs):
                 continue
-            _fill_slots(vm.processors[rank].memory(array.name), addrs, value,
-                        kernels)
+            vm.processors[rank].memory(array.name)[addrs] = value
             if _is_lowest_owner(array, rank):
                 total += len(addrs)
     return total
+
+
+def _copy_supersteps(vm: VirtualMachine, schedule, a: DistributedArray,
+                     b: DistributedArray, tag: tuple) -> None:
+    """The pack / exchange / unpack superstep pair shared by
+    :func:`execute_copy` and :func:`execute_copy_2d`: ``schedule`` (1-D
+    or 2-D) moves ``b``'s slots into ``a``'s, every message tagged
+    ``tag``."""
+
+    # Fortran semantics: the RHS is read in full before any element is
+    # stored.  All payloads -- remote sends AND local copies -- are
+    # gathered (fancy indexing copies) before the first write, so
+    # aliased self-copies like A(0:n-2) = A(1:n-1) stay correct (a rank
+    # may carry several local transfers in 2-D; all are gathered first).
+    # Ranks beyond an operand's grid (elastic machines run with
+    # vm.p >= grid.size) hold no shard of it and skip its phase.
+    def pack_phase(ctx):
+        if ctx.rank >= b.grid.size:
+            return
+        src_mem = ctx.memory(b.name)
+        for tr in schedule.sends_from(ctx.rank):
+            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots))
+        staged = [
+            (tr, gather_slots(src_mem, tr.src_slots))
+            for tr in schedule.locals_at(ctx.rank)
+        ]
+        if staged:
+            dst_mem = ctx.memory(a.name)
+            for tr, values in staged:
+                scatter_slots(dst_mem, tr.dst_slots, values)
+
+    def unpack_phase(ctx):
+        if ctx.rank >= a.grid.size:
+            return
+        dst_mem = ctx.memory(a.name)
+        for tr in schedule.receives_at(ctx.rank):
+            scatter_slots(dst_mem, tr.dst_slots, ctx.recv(tr.source, tag))
+
+    vm.bsp(pack_phase, unpack_phase)
 
 
 def execute_copy(
@@ -273,7 +266,6 @@ def execute_copy(
     b: DistributedArray,
     sec_b: RegularSection,
     schedule: CommSchedule | None = None,
-    native: bool | None = None,
 ) -> CommSchedule:
     """Run ``A(sec_a) = B(sec_b)`` with generated communication.
 
@@ -281,49 +273,15 @@ def execute_copy(
     unpack into LHS local memory.  A precomputed ``schedule`` may be
     passed (the compile-time-constants case the paper discusses);
     otherwise one comes from the plan cache (repeated statements over
-    identically mapped operands reuse the schedule object).  ``native``
-    routes the pack/unpack hot loops through the compiled
-    gather/scatter kernels (:mod:`repro.runtime.native`).
+    identically mapped operands reuse the schedule object).
     """
     _check_vm(vm, a)
     _check_vm(vm, b)
     if schedule is None:
         with vm.obs.span("schedule", statement="copy"):
             schedule = cached_comm_schedule(a, sec_a, b, sec_b)
-    tag = ("copy", a.name, b.name)
-    kernels = kernels_for(native)
-
-    # Fortran semantics: the RHS is read in full before any element is
-    # stored.  All payloads -- remote sends AND local copies -- are
-    # gathered (fancy indexing copies) before the first write, so
-    # aliased self-copies like A(0:n-2) = A(1:n-1) stay correct.
-    # Ranks beyond an operand's grid (elastic machines run with
-    # vm.p >= grid.size) hold no shard of it and skip its phase.
-    def pack_phase(ctx):
-        if ctx.rank >= b.grid.size:
-            return
-        src_mem = ctx.memory(b.name)
-        for tr in schedule.sends_from(ctx.rank):
-            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots, kernels))
-        staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
-            for tr in schedule.locals_at(ctx.rank)
-        ]
-        if staged:
-            dst_mem = ctx.memory(a.name)
-            for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
-
-    def unpack_phase(ctx):
-        if ctx.rank >= a.grid.size:
-            return
-        dst_mem = ctx.memory(a.name)
-        for tr in schedule.receives_at(ctx.rank):
-            payload = ctx.recv(tr.source, tag)
-            scatter_slots(dst_mem, tr.dst_slots, payload, kernels)
-
     with vm.obs.span("execute_copy", array=a.name, rhs=b.name):
-        vm.bsp(pack_phase, unpack_phase)
+        _copy_supersteps(vm, schedule, a, b, ("copy", a.name, b.name))
     return schedule
 
 
@@ -428,16 +386,14 @@ def execute_copy_2d(
     secs_b,
     schedule=None,
     rhs_dims: tuple[int, int] = (0, 1),
-    native: bool | None = None,
 ):
     """Run the 2-D statement ``A(secs_a) = B(secs_b)`` with communication.
 
     The tensor-product schedule of
     :func:`repro.runtime.commsets2d.compute_comm_schedule_2d`; the same
-    pack / exchange / unpack supersteps (and ``native`` pack/unpack
-    dispatch) as :func:`execute_copy`.  ``rhs_dims=(1, 0)`` pairs LHS
-    dimension 0 with RHS dimension 1 -- the distributed transpose (see
-    :func:`execute_transpose`).
+    pack / exchange / unpack supersteps as :func:`execute_copy`.
+    ``rhs_dims=(1, 0)`` pairs LHS dimension 0 with RHS dimension 1 --
+    the distributed transpose (see :func:`execute_transpose`).
     """
     _check_vm(vm, a)
     _check_vm(vm, b)
@@ -445,36 +401,8 @@ def execute_copy_2d(
         schedule = cached_comm_schedule_2d(
             a, tuple(secs_a), b, tuple(secs_b), rhs_dims
         )
-    tag = ("copy2d", a.name, b.name)
-    kernels = kernels_for(native)
-
-    # Read-before-write staging, as in execute_copy (a rank may carry
-    # several local transfers in 2-D, so all are gathered first).
-    def pack_phase(ctx):
-        if ctx.rank >= b.grid.size:
-            return
-        src_mem = ctx.memory(b.name)
-        for tr in schedule.sends_from(ctx.rank):
-            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots, kernels))
-        staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
-            for tr in schedule.locals_at(ctx.rank)
-        ]
-        if staged:
-            dst_mem = ctx.memory(a.name)
-            for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
-
-    def unpack_phase(ctx):
-        if ctx.rank >= a.grid.size:
-            return
-        dst_mem = ctx.memory(a.name)
-        for tr in schedule.receives_at(ctx.rank):
-            payload = ctx.recv(tr.source, tag)
-            scatter_slots(dst_mem, tr.dst_slots, payload, kernels)
-
     with vm.obs.span("execute_copy_2d", array=a.name, rhs=b.name):
-        vm.bsp(pack_phase, unpack_phase)
+        _copy_supersteps(vm, schedule, a, b, ("copy2d", a.name, b.name))
     return schedule
 
 

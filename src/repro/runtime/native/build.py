@@ -1,17 +1,16 @@
 """Compile emitted C into a hashed, crash-safe on-disk artifact cache.
 
-The emitters (:mod:`repro.runtime.emit_c` for the runtime, and the C
-benchmark harnesses of :mod:`repro.bench`) produce translation units;
-this module turns them into loadable shared objects (or standalone
-executables for the C benchmark harnesses) exactly once per
-*descriptor*.  A descriptor is a JSON-able dict of everything that can
-change the produced machine code: the plan parameters / source identity,
-the emitter version, the pinned flag set, the artifact kind, and the
-compiler id (path + version line).  Its SHA-256 keys the artifact, so:
+The C emitters of :mod:`repro.bench` (the Figure 8 node code and the
+Table 1/2 harnesses) produce translation units; this module turns them
+into loadable shared objects (or standalone executables) exactly once
+per *descriptor*.  A descriptor is a JSON-able dict of everything that
+can change the produced machine code: the plan parameters / source
+identity, the exact source text, the pinned flag set, the artifact
+kind, and the compiler id (path + version line).  Its SHA-256 keys the
+artifact, so:
 
-* repeated runs -- and the plan-cache layer above -- never recompile
-  warm work;
-* a compiler upgrade, emitter change, or flag change misses cleanly
+* repeated runs never recompile warm work;
+* a compiler upgrade, source change, or flag change misses cleanly
   instead of serving stale code;
 * concurrent builders race benignly: each compiles into a private
   ``.tmp-<pid>`` file and installs with an atomic :func:`os.replace`.
@@ -26,13 +25,12 @@ Knobs (environment):
 
 * ``REPRO_NATIVE_CC`` -- pin the compiler path.  Setting it to a
   missing/broken path *disables* autodetection (that is the point: CI's
-  fallback leg hides the compiler this way).
+  hidden-compiler leg hides the compiler this way).
 * ``REPRO_NATIVE_CACHE`` -- cache directory (default
   ``.repro-native-cache/`` under the current directory, git-ignored).
 
-Failures surface as :class:`NativeBuildError`; callers
-(:mod:`repro.runtime.native`) decide whether that means a hard error or
-a NumPy fallback.
+Failures surface as :class:`NativeBuildError`; the bench callers decide
+whether that means a hard error or a skipped row.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import subprocess
 from pathlib import Path
 
 from ...obs import ambient
-from ..emit_c import EMITTER_VERSION
 
 __all__ = [
     "NativeBuildError",
@@ -161,10 +158,8 @@ def build_cached(source: str, descriptor: dict, *, kind: str = "shared") -> Path
 
     ``descriptor`` identifies the *semantics* of the source (plan
     parameters, harness name, ...); the full cache key additionally
-    folds in the emitter version, the flag set, the artifact kind, and
-    the compiler id, so none of those can alias.  The source text itself
-    is hashed in too -- belt and braces against an under-specified
-    descriptor.
+    folds in the exact source text, the flag set, the artifact kind, and
+    the compiler id, so none of those can alias.
 
     Raises :class:`NativeBuildError` when no compiler is available or
     compilation fails; never leaves a partial artifact behind (compile
@@ -180,7 +175,6 @@ def build_cached(source: str, descriptor: dict, *, kind: str = "shared") -> Path
     flags = CFLAGS_SHARED if kind == "shared" else CFLAGS_EXE
     key = descriptor_hash({
         "descriptor": descriptor,
-        "emitter_version": EMITTER_VERSION,
         "kind": kind,
         "flags": flags,
         "compiler": compiler_id(cc),

@@ -76,7 +76,6 @@ from ..machine.iface import Machine
 from .commsets import CommSchedule, Transfer
 from .plancache import cached_comm_schedule
 from .exec import _check_vm, as_index, gather_slots, scatter_slots
-from .native import kernels_for
 from .redistribute import RedistributionStats, stats_from_schedule
 
 __all__ = [
@@ -588,26 +587,24 @@ class _Exchange:
         if ctx.rank >= self.b.grid.size:
             return
         src_mem = ctx.memory(self.b.name)
-        # Packing runs through the native/NumPy dispatch seam
-        # (repro.runtime.native, global mode): the hot gather loops are
-        # compiled when available, bit-identical either way.
-        kernels = kernels_for(None)
+        # Packing is the executors' NumPy gather (exec.gather_slots): each
+        # payload is a fresh buffer, safe to stage and resend.
         outbox = self.outbox[ctx.rank]
         for tid, tr in enumerate(self.transfers):
             if tr.source != ctx.rank:
                 continue
-            payload = gather_slots(src_mem, tr.src_slots, kernels)
+            payload = gather_slots(src_mem, tr.src_slots)
             outbox[tid] = _Outbound(tr, payload)
             ctx.send(tr.dest, self.data_tag, Packet.seal(tid, 0, payload))
         staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
+            (tr, gather_slots(src_mem, tr.src_slots))
             for tr in self.schedule.locals_at(ctx.rank)
         ]
         self.staged_locals[ctx.rank] = staged
         if staged:
             dst_mem = ctx.memory(self.a.name)
             for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
+                scatter_slots(dst_mem, tr.dst_slots, values)
                 if self.auditor is not None:
                     self.auditor.note_write(ctx.rank, self.a.name, tr.dst_slots)
 

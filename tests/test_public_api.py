@@ -80,7 +80,7 @@ class TestTopLevel:
             "repro.runtime.commsets", "repro.runtime.commsets2d",
             "repro.runtime.exec", "repro.runtime.redistribute",
             "repro.runtime.triangular", "repro.runtime.sections_io",
-            "repro.runtime.emit_c", "repro.runtime.native",
+            "repro.runtime.native",
             "repro.runtime.native.build",
             "repro.lang.parser", "repro.lang.compiler", "repro.lang.reference",
             "repro.lang.desugar",
