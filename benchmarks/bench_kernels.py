@@ -2,7 +2,9 @@
 """Benchmark the vectorized access-sequence kernels and the plan cache.
 
 Times the runtime's hot paths and writes the results as
-machine-readable rows to ``BENCH_kernels.json``:
+machine-readable rows to ``BENCH_kernels.json`` (a ``--quick`` run
+writes the untracked ``bench-kernels-quick.json`` instead, so a smoke
+run never replaces the full-size record):
 
 * ``scalar``     -- the element-at-a-time reference implementations
   (:mod:`repro.oracle`, ``localized_elements``, and the interpreted
@@ -33,6 +35,8 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py           # full size
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick   # CI smoke
+    # --output PATH overrides either default; the metrics sidecar is
+    # written next to it as <stem>_metrics.json.
 """
 
 from __future__ import annotations
@@ -404,9 +408,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--draws", type=int, default=None,
                         help="verification sweep size (default 60, quick 25)")
-    parser.add_argument("--output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_kernels.json")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="report path (default BENCH_kernels.json at "
+                             "the repo root, quick bench-kernels-quick.json)")
     args = parser.parse_args(argv)
+    if args.output is None:
+        name = "bench-kernels-quick.json" if args.quick else "BENCH_kernels.json"
+        args.output = Path(__file__).resolve().parent.parent / name
 
     n = args.n or (8_000 if args.quick else 100_000)
     repeats = args.repeats or (3 if args.quick else 5)

@@ -123,7 +123,6 @@ def compute_comm_schedule_reference(
         transfer = Transfer(
             source=q,
             dest=r,
-            iterations=tuple(t for t, _, _ in triples),
             src_slots=tuple(bs for _, bs, _ in triples),
             dst_slots=tuple(asl for _, _, asl in triples),
         )

@@ -7,7 +7,7 @@ from .address import (
     materialize_addresses,
 )
 from .commsets import CommSchedule, Transfer, compute_comm_schedule
-from .commsets2d import CommSchedule2D, Transfer2D, compute_comm_schedule_2d
+from .commsets2d import compute_comm_schedule_2d
 from .elastic import (
     ElasticPolicy,
     ElasticSession,
@@ -90,8 +90,6 @@ __all__ = [
     "execute_combine",
     "execute_copy_2d",
     "execute_transpose",
-    "CommSchedule2D",
-    "Transfer2D",
     "compute_comm_schedule_2d",
     "RedistributionStats",
     "plan_redistribution",

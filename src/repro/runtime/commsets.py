@@ -21,9 +21,10 @@ distribute/collect and :func:`repro.distribution.localize.localize_section`.
 original element-at-a-time loop over each sender's localized elements as
 the oracle the property tests and benchmarks compare against.
 
-Rank-1 arrays on rank-1 grids are supported directly; multidimensional
-statements decompose per-dimension at the :mod:`repro.runtime.exec`
-level.
+:class:`Transfer` and :class:`CommSchedule` are the one schedule type of
+the runtime: rank-1 statements build them here, and 2-D statements
+(:mod:`repro.runtime.commsets2d`) build them from the tensor product of
+two :func:`dim_transfers` calls, over flat row-major slots.
 """
 
 from __future__ import annotations
@@ -50,28 +51,29 @@ class Transfer:
 
     Parallel sequences (int64 vectors on the vectorized path, plain
     tuples from the reference path -- consumers index them uniformly via
-    :func:`repro.runtime.exec.as_index`): ``iterations[t]`` is the
-    iteration number, ``src_slots[t]`` the sender-local B slot,
-    ``dst_slots[t]`` the receiver-local A slot.
+    :func:`repro.runtime.exec.as_index`): ``src_slots[i]`` is the
+    sender-local B slot, ``dst_slots[i]`` the receiver-local A slot of
+    the transfer's ``i``-th element.  Elements are in ascending
+    iteration order (odometer order, iteration axis 0 slowest, for 2-D
+    statements, whose slots are flat row-major local addresses); the
+    sender's slot determines the iteration.
     """
 
     source: int
     dest: int
-    iterations: tuple[int, ...] | np.ndarray
     src_slots: tuple[int, ...] | np.ndarray
     dst_slots: tuple[int, ...] | np.ndarray
 
     def __len__(self) -> int:
-        return len(self.iterations)
+        return len(self.src_slots)
 
     def astuples(self) -> tuple:
-        """Canonical hashable form ``(source, dest, iterations,
-        src_slots, dst_slots)`` with tuple element lists -- the equality
-        key the tests compare vectorized and reference schedules by."""
+        """Canonical hashable form ``(source, dest, src_slots,
+        dst_slots)`` with tuple element lists -- the equality key the
+        tests compare vectorized and reference schedules by."""
         return (
             self.source,
             self.dest,
-            tuple(int(t) for t in self.iterations),
             tuple(int(s) for s in self.src_slots),
             tuple(int(s) for s in self.dst_slots),
         )
@@ -87,6 +89,10 @@ class CommSchedule:
     per-rank indexes built once (lazily, after construction) -- they are
     called every superstep by the executors and the resilient exchange,
     and must not rescan the transfer list each time.
+
+    ``n_iterations`` is the statement's flat iteration count (``n0 * n1``
+    for a 2-D statement); every iteration moves exactly one element, so
+    it is also :attr:`total_elements`.
     """
 
     n_iterations: int
@@ -102,7 +108,7 @@ class CommSchedule:
 
     @property
     def total_elements(self) -> int:
-        return sum(len(t) for t in self.locals_) + sum(len(t) for t in self.transfers)
+        return self.n_iterations
 
     @property
     def communicated_elements(self) -> int:
@@ -181,12 +187,12 @@ def _owners_and_slots(dim, sec: RegularSection, n: int) -> tuple[np.ndarray, np.
 
 def dim_transfers(
     dim_a, sec_a: RegularSection, dim_b, sec_b: RegularSection
-) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Transfer vectors of one iteration axis, for every rank pair at once.
 
-    Returns ``(q, r, iterations, src_slots, dst_slots)`` for every RHS
-    coordinate ``q`` sending to LHS coordinate ``r``, ascending in
-    ``(q, r)``, each vector ascending in iteration number.  One
+    Returns ``(q, r, src_slots, dst_slots)`` for every RHS coordinate
+    ``q`` sending to LHS coordinate ``r``, ascending in ``(q, r)``, each
+    pair of vectors in ascending iteration order.  One
     vectorized pass over all ``n`` iterations: both sides' owners and
     slots in closed form, one stable radix ``argsort`` on the narrow key
     ``q * p_a + r``, and one boundary split into read-only slices.
@@ -214,13 +220,13 @@ def dim_transfers(
     key = key[order]
     src_slots = src_slots[order]
     dst_slots = dst_slots[order]
-    for vec in (order, src_slots, dst_slots):
+    for vec in (src_slots, dst_slots):
         vec.flags.writeable = False
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n]
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
         q, r = divmod(int(key[lo]), p_a)
-        out.append((q, r, order[lo:hi], src_slots[lo:hi], dst_slots[lo:hi]))
+        out.append((q, r, src_slots[lo:hi], dst_slots[lo:hi]))
     return out
 
 
@@ -243,12 +249,10 @@ def compute_comm_schedule(
     _check_rank1(b, "RHS")
     _check_conformable(sec_a, sec_b)
     schedule = CommSchedule(n_iterations=len(sec_a))
-    for q, r, t, src_slots, dst_slots in dim_transfers(
+    for q, r, src_slots, dst_slots in dim_transfers(
         a._dims[0], sec_a, b._dims[0], sec_b
     ):
-        transfer = Transfer(
-            source=q, dest=r, iterations=t, src_slots=src_slots, dst_slots=dst_slots
-        )
+        transfer = Transfer(q, r, src_slots, dst_slots)
         if q == r:
             schedule.locals_.append(transfer)
         else:

@@ -8,7 +8,9 @@ coordinates determined per dimension by the 1-D ownership functions.
 The 2-D schedule is therefore the tensor product of two 1-D transfer
 sets, built from the same per-dimension machinery
 :mod:`repro.runtime.commsets` uses, with flat local addresses composed
-row-major.
+row-major, into the plain :class:`~repro.runtime.commsets.Transfer`
+records of one :class:`~repro.runtime.commsets.CommSchedule` -- the
+runtime has one schedule type for every statement rank.
 
 ``rhs_dims`` generalizes the pairing of iteration axes to RHS
 dimensions: the default ``(0, 1)`` is the elementwise statement;
@@ -24,81 +26,11 @@ lets :mod:`repro.runtime.elastic` schedule a live re-layout between a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
-from .commsets import dim_transfers
+from .commsets import CommSchedule, Transfer, dim_transfers
 
-__all__ = ["Transfer2D", "CommSchedule2D", "compute_comm_schedule_2d"]
-
-
-@dataclass(frozen=True, slots=True)
-class Transfer2D:
-    """One sender->receiver block of a 2-D statement.
-
-    ``src_slots``/``dst_slots`` are *flat* row-major local addresses,
-    parallel arrays ordered odometer style (iteration axis 0 slowest).
-    """
-
-    source: int
-    dest: int
-    src_slots: tuple[int, ...] | np.ndarray
-    dst_slots: tuple[int, ...] | np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.src_slots)
-
-
-@dataclass
-class CommSchedule2D:
-    n_iterations: tuple[int, int]
-    locals_: list[Transfer2D] = field(default_factory=list)
-    transfers: list[Transfer2D] = field(default_factory=list)
-    _send_index: dict[int, list[Transfer2D]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _recv_index: dict[int, list[Transfer2D]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _indexed_count: int = field(default=-1, repr=False, compare=False)
-
-    @property
-    def total_elements(self) -> int:
-        return sum(len(t) for t in self.locals_) + sum(
-            len(t) for t in self.transfers
-        )
-
-    @property
-    def communicated_elements(self) -> int:
-        return sum(len(t) for t in self.transfers)
-
-    def _reindex(self) -> None:
-        if self._indexed_count == len(self.transfers):
-            return
-        send: dict[int, list[Transfer2D]] = {}
-        recv: dict[int, list[Transfer2D]] = {}
-        for t in self.transfers:
-            send.setdefault(t.source, []).append(t)
-            recv.setdefault(t.dest, []).append(t)
-        self._send_index = send
-        self._recv_index = recv
-        self._indexed_count = len(self.transfers)
-
-    def sends_from(self, rank: int) -> list[Transfer2D]:
-        self._reindex()
-        return self._send_index.get(rank, [])
-
-    def receives_at(self, rank: int) -> list[Transfer2D]:
-        self._reindex()
-        return self._recv_index.get(rank, [])
-
-    def locals_at(self, rank: int) -> list[Transfer2D]:
-        """The ``source == dest == rank`` copies, in schedule order.  A
-        plain filter: ``locals_`` holds at most one transfer per rank."""
-        return [t for t in self.locals_ if t.source == rank]
+__all__ = ["compute_comm_schedule_2d"]
 
 
 def _check_rank2(array: DistributedArray, role: str) -> None:
@@ -125,9 +57,13 @@ def compute_comm_schedule_2d(
     b: DistributedArray,
     secs_b: tuple[RegularSection, RegularSection],
     rhs_dims: tuple[int, int] = (0, 1),
-) -> CommSchedule2D:
+) -> CommSchedule:
     """Schedule for the 2-D statement pairing LHS dim ``e`` with RHS dim
-    ``rhs_dims[e]`` (``(0, 1)`` elementwise, ``(1, 0)`` transpose)."""
+    ``rhs_dims[e]`` (``(0, 1)`` elementwise, ``(1, 0)`` transpose).
+
+    ``n_iterations`` is the flat count ``n0 * n1``; each transfer's slot
+    vectors are flat row-major local addresses in odometer order and,
+    like the 1-D schedule's, read-only (the plan cache shares them)."""
     _check_rank2(a, "LHS")
     _check_rank2(b, "RHS")
     if sorted(rhs_dims) != [0, 1]:
@@ -138,12 +74,12 @@ def compute_comm_schedule_2d(
         raise ValueError(
             f"non-conformable sections: {lengths_a} vs {lengths_b}"
         )
-    schedule = CommSchedule2D(n_iterations=lengths_a)
+    schedule = CommSchedule(n_iterations=lengths_a[0] * lengths_a[1])
     if 0 in lengths_a:
         return schedule
 
-    # Per iteration axis: (q, r, iterations, src_slots, dst_slots) for
-    # every coordinate pair, ascending in (q, r).
+    # Per iteration axis: (q, r, src_slots, dst_slots) for every
+    # coordinate pair, ascending in (q, r).
     pairs = [
         dim_transfers(
             a._dims[e], secs_a[e], b._dims[rhs_dims[e]], secs_b[rhs_dims[e]]
@@ -155,8 +91,8 @@ def compute_comm_schedule_2d(
     # Whether iteration axis e supplies the RHS's *row* (dim 0) slot.
     rhs_is_dim0 = [rhs_dims[e] == 0 for e in (0, 1)]
 
-    for q0, r0, _, bs0, as0 in pairs[0]:
-        for q1, r1, _, bs1, as1 in pairs[1]:
+    for q0, r0, bs0, as0 in pairs[0]:
+        for q1, r1, bs1, as1 in pairs[1]:
             src_coords = [0, 0]
             src_coords[axis_b[0]], src_coords[axis_b[1]] = q0, q1
             dst_coords = [0, 0]
@@ -173,9 +109,11 @@ def compute_comm_schedule_2d(
             else:
                 src_flat = bs1[None, :] * src_shape1 + bs0[:, None]
             dst_flat = as0[:, None] * dst_shape1 + as1[None, :]
-            transfer = Transfer2D(
+            transfer = Transfer(
                 src, dst, src_flat.reshape(-1), dst_flat.reshape(-1)
             )
+            for vec in (transfer.src_slots, transfer.dst_slots):
+                vec.flags.writeable = False
             if src == dst:
                 schedule.locals_.append(transfer)
             else:

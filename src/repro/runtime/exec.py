@@ -220,12 +220,13 @@ def execute_fill(
     return total
 
 
-def _copy_supersteps(vm: VirtualMachine, schedule, a: DistributedArray,
-                     b: DistributedArray, tag: tuple) -> None:
+def _copy_supersteps(vm: VirtualMachine, schedule: CommSchedule,
+                     a: DistributedArray, b: DistributedArray,
+                     tag: tuple) -> None:
     """The pack / exchange / unpack superstep pair shared by
-    :func:`execute_copy` and :func:`execute_copy_2d`: ``schedule`` (1-D
-    or 2-D) moves ``b``'s slots into ``a``'s, every message tagged
-    ``tag``."""
+    :func:`execute_copy` and :func:`execute_copy_2d`: ``schedule`` (of
+    a 1-D or a 2-D statement) moves ``b``'s slots into ``a``'s, every
+    message tagged ``tag``."""
 
     # Fortran semantics: the RHS is read in full before any element is
     # stored.  All payloads -- remote sends AND local copies -- are
@@ -384,9 +385,9 @@ def execute_copy_2d(
     secs_a,
     b: DistributedArray,
     secs_b,
-    schedule=None,
+    schedule: CommSchedule | None = None,
     rhs_dims: tuple[int, int] = (0, 1),
-):
+) -> CommSchedule:
     """Run the 2-D statement ``A(secs_a) = B(secs_b)`` with communication.
 
     The tensor-product schedule of
@@ -410,8 +411,8 @@ def execute_transpose(
     vm: VirtualMachine,
     a: DistributedArray,
     b: DistributedArray,
-    schedule=None,
-):
+    schedule: CommSchedule | None = None,
+) -> CommSchedule:
     """Distributed transpose: ``A(i, j) = B(j, i)`` over whole arrays.
 
     The classic communication-intensive array statement; requires

@@ -48,10 +48,19 @@ class RedistributionStats:
         return self.local_elements / self.elements if self.elements else 1.0
 
 
-def _full_section(array: DistributedArray) -> RegularSection:
-    if array.rank != 1:
-        raise ValueError(f"{array.name} must be rank-1 for redistribution")
-    return RegularSection(0, array.shape[0] - 1, 1)
+def _whole_section(dst: DistributedArray, src: DistributedArray) -> RegularSection:
+    """The whole-array section of both sides of ``dst = src``: equal
+    shapes, rank-1.  Checked with or without a precomputed schedule --
+    a schedule for other arrays would leave part of ``dst`` unwritten."""
+    if dst.shape != src.shape:
+        raise ValueError(
+            f"shape mismatch: {dst.name}{list(dst.shape)} vs "
+            f"{src.name}{list(src.shape)}"
+        )
+    for array in (dst, src):
+        if array.rank != 1:
+            raise ValueError(f"{array.name} must be rank-1 for redistribution")
+    return RegularSection(0, dst.shape[0] - 1, 1)
 
 
 def stats_from_schedule(schedule: CommSchedule) -> RedistributionStats:
@@ -74,12 +83,8 @@ def plan_redistribution(
 ) -> tuple[CommSchedule, RedistributionStats]:
     """Communication schedule + statistics for ``dst = src`` (whole
     arrays; equal global sizes required)."""
-    if dst.shape != src.shape:
-        raise ValueError(
-            f"shape mismatch: {dst.name}{list(dst.shape)} vs "
-            f"{src.name}{list(src.shape)}"
-        )
-    schedule = cached_comm_schedule(dst, _full_section(dst), src, _full_section(src))
+    whole = _whole_section(dst, src)
+    schedule = cached_comm_schedule(dst, whole, src, whole)
     return schedule, stats_from_schedule(schedule)
 
 
@@ -95,11 +100,12 @@ def redistribute(
     the statistics are summarized from that schedule directly -- the
     full communication plan is not recomputed.
     """
+    whole = _whole_section(dst, src)
     if schedule is None:
         schedule, stats = plan_redistribution(dst, src)
     else:
         stats = stats_from_schedule(schedule)
-    execute_copy(vm, dst, _full_section(dst), src, _full_section(src), schedule)
+    execute_copy(vm, dst, whole, src, whole, schedule)
     return stats
 
 

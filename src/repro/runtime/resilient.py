@@ -76,7 +76,12 @@ from ..machine.iface import Machine
 from .commsets import CommSchedule, Transfer
 from .plancache import cached_comm_schedule
 from .exec import _check_vm, as_index, gather_slots, scatter_slots
-from .redistribute import RedistributionStats, stats_from_schedule
+from .redistribute import (
+    RedistributionStats,
+    _whole_section,
+    plan_redistribution,
+    stats_from_schedule,
+)
 
 __all__ = [
     "ExchangeFailure",
@@ -1050,12 +1055,6 @@ class _Exchange:
             )
 
 
-def _full_section(array: DistributedArray) -> RegularSection:
-    if array.rank != 1:
-        raise ValueError(f"{array.name} must be rank-1 for redistribution")
-    return RegularSection(0, array.shape[0] - 1, 1)
-
-
 def redistribute_resilient(
     vm: Machine,
     dst: DistributedArray,
@@ -1076,18 +1075,13 @@ def redistribute_resilient(
     ``(stats, report)``; raises :class:`ExchangeFailure` rather than
     ever leaving ``dst`` silently wrong.
     """
-    if dst.shape != src.shape:
-        raise ValueError(
-            f"shape mismatch: {dst.name}{list(dst.shape)} vs "
-            f"{src.name}{list(src.shape)}"
-        )
+    whole = _whole_section(dst, src)
     if schedule is None:
-        schedule = cached_comm_schedule(
-            dst, _full_section(dst), src, _full_section(src)
-        )
-    stats = stats_from_schedule(schedule)
+        schedule, stats = plan_redistribution(dst, src)
+    else:
+        stats = stats_from_schedule(schedule)
     report = execute_copy_resilient(
-        vm, dst, _full_section(dst), src, _full_section(src),
+        vm, dst, whole, src, whole,
         schedule=schedule, policy=policy, checkpoints=checkpoints,
         auditor=auditor, recorder=recorder, flight_dir=flight_dir,
     )

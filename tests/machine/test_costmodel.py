@@ -8,7 +8,7 @@ from repro.runtime.commsets import Transfer
 
 
 def make_transfer(src, dst, n):
-    return Transfer(src, dst, tuple(range(n)), tuple(range(n)), tuple(range(n)))
+    return Transfer(src, dst, tuple(range(n)), tuple(range(n)))
 
 
 class TestCostModel:

@@ -108,14 +108,20 @@ class TestSchedule:
     @settings(max_examples=100, deadline=None)
     def test_conservation_and_correct_slots(self, params):
         """Every iteration appears exactly once, with correct local slots
-        at both ends."""
+        at both ends, in ascending iteration order within each transfer.
+        The iteration is derived from the sender's slot."""
         p, ka, kb, n, sec_a, sec_b = params
         a = make_array("A", n, p, ka)
         b = make_array("B", n, p, kb)
         sched = compute_comm_schedule(a, sec_a, b, sec_b)
         seen = []
         for tr in sched.locals_ + sched.transfers:
-            for t, bs, asl in zip(tr.iterations, tr.src_slots, tr.dst_slots):
+            ts = [
+                sec_b.position_of(b.global_index((int(bs),), tr.source)[0])
+                for bs in tr.src_slots
+            ]
+            assert ts == sorted(ts)
+            for t, bs, asl in zip(ts, tr.src_slots, tr.dst_slots):
                 seen.append(t)
                 b_index = sec_b.element(t)
                 a_index = sec_a.element(t)
@@ -142,9 +148,12 @@ class TestSchedule:
         b = make_array("B", 50, 3, 4, a=3, b=0, textent=256)
         sec = RegularSection(0, 49, 7)
         sched = compute_comm_schedule(a, sec, b, sec)
-        seen = sorted(
-            t
-            for tr in sched.locals_ + sched.transfers
-            for t in tr.iterations
-        )
-        assert seen == list(range(len(sec)))
+        seen = []
+        for tr in sched.locals_ + sched.transfers:
+            ts = [
+                sec.position_of(b.global_index((int(bs),), tr.source)[0])
+                for bs in tr.src_slots
+            ]
+            assert ts == sorted(ts)
+            seen += ts
+        assert sorted(seen) == list(range(len(sec)))

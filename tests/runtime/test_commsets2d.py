@@ -100,7 +100,8 @@ class TestSchedule:
         secs_a = (RegularSection(0, 11, 2), RegularSection(1, 9, 2))
         secs_b = (RegularSection(1, 11, 2), RegularSection(0, 9, 2))
         sched = compute_comm_schedule_2d(a, secs_a, b, secs_b)
-        assert sched.total_elements == len(secs_a[0]) * len(secs_a[1])
+        n0, n1 = len(secs_a[0]), len(secs_a[1])
+        assert sched.n_iterations == sched.total_elements == n0 * n1
         # Every destination slot appears exactly once across transfers.
         seen = set()
         for tr in sched.locals_ + sched.transfers:
@@ -108,6 +109,12 @@ class TestSchedule:
                 key = (tr.dest, slot)
                 assert key not in seen
                 seen.add(key)
+        assert len(seen) == n0 * n1
+        # An empty axis empties the statement: 12 x 0 iterations.
+        secs = (RegularSection(0, 11, 1), RegularSection(0, -1, 1))
+        empty = compute_comm_schedule_2d(a, secs, b, secs)
+        assert empty.n_iterations == empty.total_elements == 0
+        assert not empty.locals_ and not empty.transfers
 
     def test_per_rank_views(self):
         a = make_2d("A", (12, 10), (2, 2), 2, 3)
@@ -221,6 +228,10 @@ class TestAgainstScalarEnumeration:
         assert got == scalar_schedule_2d(a, secs_a, b, secs_b, rhs_dims)
         assert all(tr.source == tr.dest for tr in sched.locals_)
         assert all(tr.source != tr.dest for tr in sched.transfers)
+        assert sched.n_iterations == len(secs_a[0]) * len(secs_a[1])
+        for tr in sched.locals_ + sched.transfers:
+            for v in (tr.src_slots, tr.dst_slots):
+                assert not v.flags.writeable
 
 
 class TestExecution:

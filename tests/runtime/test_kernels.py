@@ -322,7 +322,7 @@ class TestVectorizedSchedule:
             t.astuples() for t in ref.transfers
         ]
         for t in vec.locals_ + vec.transfers:
-            for v in (t.iterations, t.src_slots, t.dst_slots):
+            for v in (t.src_slots, t.dst_slots):
                 assert not v.flags.writeable
 
 class TestVectorizedDistributeCollect:

@@ -36,6 +36,10 @@ class TestPlan:
         b = make_1d("B", 12, 2, 2)
         with pytest.raises(ValueError, match="shape mismatch"):
             plan_redistribution(a, b)
+        # A precomputed schedule (here for A = A) does not waive the check.
+        schedule, _ = plan_redistribution(a, a)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            redistribute(VirtualMachine(2), a, b, schedule=schedule)
 
     def test_rank1_required(self):
         grid = ProcessorGrid("P", (2,))

@@ -219,6 +219,9 @@ class TestFailureModes:
         vm = VirtualMachine(2)
         with pytest.raises(ValueError, match="shape mismatch"):
             redistribute_resilient(vm, dst, src)
+        schedule, _ = plan_redistribution(src, src)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            redistribute_resilient(vm, dst, src, schedule=schedule)
 
 
 class TestProtocolInternals:
