@@ -15,8 +15,9 @@ memory with one of these loops (the paper's C fragments correspond to
   (``deltaM`` + ``NextOffset``), the fastest of the four in Table 2;
 * **shape (v)** -- our NumPy-vectorized ablation (A4): materialize all
   local addresses with a cumulative sum of the tiled gap table and
-  assign in one fancy-indexing store.  This is the one fill the runtime
-  executes (:func:`repro.runtime.exec.execute_fill`).
+  assign in one fancy-indexing store, as
+  :func:`repro.runtime.exec.execute_fill` stores (its addresses come
+  from the all-ranks period tables, not a ΔM table).
 
 Each shape exists three ways here, all writing the same addresses:
 
@@ -29,10 +30,15 @@ Each shape exists three ways here, all writing the same addresses:
   timed natively by :mod:`repro.bench.table2_c`.
 
 The shapes walk a :class:`NodePlan` (from :func:`make_plan`): the
-runtime's visit-order ΔM table plus what only node code reads -- the last
-local address the loops compare against and the shape-(d) offset-indexed
+visit-order ΔM table plus what only node code reads -- the last local
+address the loops compare against and the shape-(d) offset-indexed
 tables of :func:`repro.core.compute_offset_tables`.  Shape (v) also takes
-a runtime :class:`repro.runtime.address.AccessPlan`.
+an :class:`AccessPlan` (from :func:`make_array_plan`): one dimension of a
+:class:`~repro.distribution.array.DistributedArray` under any alignment,
+its ΔM table from the two-application scheme of
+:func:`~repro.distribution.localize.localize_section`.  The runtime's
+fills read the all-ranks period tables instead
+(:mod:`repro.runtime.address`).
 
 Every fill assigns ``value`` to each element the plan covers and returns
 the number of elements written.  The Python shapes accept a NumPy array,
@@ -51,15 +57,20 @@ import numpy as np
 
 from ..core.access import compute_access_table
 from ..core.counting import last_location, local_count
+from ..core.kernels import expand_table
 from ..core.offsets import compute_offset_tables
+from ..distribution.array import DistributedArray
 from ..distribution.layout import CyclicLayout
+from ..distribution.localize import bounded_count, localize_section
 from ..distribution.section import RegularSection
-from ..runtime.address import materialize_addresses
 from ..runtime.native.build import load_library
 
 __all__ = [
     "NodePlan",
     "make_plan",
+    "AccessPlan",
+    "make_array_plan",
+    "materialize_addresses",
     "fill_shape_a",
     "fill_shape_b",
     "fill_shape_c",
@@ -132,6 +143,63 @@ def make_plan(p: int, k: int, l: int, u: int, s: int, m: int) -> NodePlan:
         delta_m_by_offset=offsets.delta_m,
         next_offset=offsets.next_offset,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class AccessPlan:
+    """Per-processor traversal plan for a bounded section of one array
+    dimension.
+
+    ``delta_m`` is the ΔM gap table in visit order and ``start_local`` the
+    first compressed slot; ``count`` is the number of elements the
+    processor owns within the bounds.  ``count == 0`` plans have
+    ``start_local is None``.
+    """
+
+    p: int
+    k: int
+    m: int
+    count: int
+    length: int
+    start_local: int | None
+    delta_m: tuple[int, ...]
+
+    @property
+    def is_empty(self) -> bool:
+        return self.count == 0
+
+
+def make_array_plan(
+    array: DistributedArray, dim: int, section: RegularSection, rank: int
+) -> AccessPlan:
+    """Plan for one dimension of a :class:`DistributedArray` section.
+
+    Slots are *compressed array-local* slots, from
+    :func:`~repro.distribution.localize.localize_section` for every
+    alignment.  A section outside the dimension's extent raises
+    ``IndexError``.
+    """
+    d = array._dims[dim]
+    if d.layout is None:
+        raise ValueError(f"dimension {dim} of {array.name} is not distributed")
+    coords = array.grid.coordinates(rank)
+    m = coords[d.axis_map.grid_axis]
+    p, k = d.layout.p, d.layout.k
+    alignment = d.axis_map.alignment
+    table = localize_section(p, k, d.extent, alignment, section, m)
+    # A non-empty (unbounded) cycle may still end, bounded, before the
+    # rank's first owned element.
+    count = 0 if table.is_empty else bounded_count(p, k, alignment, section, m)
+    if count == 0:
+        return AccessPlan(p, k, m, 0, 0, None, ())
+    return AccessPlan(p, k, m, count, table.length, table.start_slot, table.gaps)
+
+
+def materialize_addresses(plan) -> np.ndarray:
+    """All local addresses a :class:`NodePlan` or :class:`AccessPlan`
+    covers, as one int64 vector -- the vectorized Figure 8 table walk of
+    shape (v)."""
+    return expand_table(plan.start_local, plan.delta_m, plan.count)
 
 
 def fill_shape_a(memory, plan: NodePlan, value) -> int:

@@ -28,9 +28,7 @@ from .fsm import AccessFSM, Transition
 from .kernels import (
     expand_table,
     local_addresses_of,
-    local_slots_of,
     owners_of,
-    periodic_floor_rank_of,
     periodic_rank_of,
 )
 from .multidim import compose_flat_addresses, odometer_addresses, row_major_strides
@@ -71,9 +69,7 @@ __all__ = [
     "expand_table",
     "owners_of",
     "local_addresses_of",
-    "local_slots_of",
     "periodic_rank_of",
-    "periodic_floor_rank_of",
     "ExtendedGcd",
     "extended_gcd",
     "gcd",

@@ -35,9 +35,7 @@ __all__ = [
     "expand_table",
     "owners_of",
     "local_addresses_of",
-    "local_slots_of",
     "periodic_rank_of",
-    "periodic_floor_rank_of",
 ]
 
 
@@ -169,56 +167,3 @@ def periodic_rank_of(
             )
         return q * length + pos
     return np.where(valid, q * length + pos, -1)
-
-
-def periodic_floor_rank_of(
-    addrs,
-    first: int,
-    period_span: int,
-    cycle_offsets: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :meth:`repro.distribution.localize.RankFunction.floor_rank`:
-    rank of the last allocation point at or before each address (``-1``
-    when the address precedes the first point)."""
-    offsets = np.asarray(cycle_offsets, dtype=np.int64)
-    length = offsets.size
-    if length == 0:
-        raise ValueError("cycle_offsets must be nonempty")
-    addr_arr = np.asarray(addrs, dtype=np.int64)
-    delta = addr_arr - first
-    q, r = np.divmod(delta, period_span)
-    pos = np.searchsorted(offsets, r, side="right") - 1
-    out = q * length + pos
-    return np.where(delta < 0, -1, out)
-
-
-def local_slots_of(
-    indices,
-    p: int,
-    k: int,
-    a: int = 1,
-    b: int = 0,
-    *,
-    first: int | None = None,
-    period_span: int | None = None,
-    cycle_offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Compressed array-local slots of (aligned) global indices.
-
-    For the identity alignment the compressed slot *is* the
-    template-local address (the stride-1 allocation occupies every local
-    cell), so this is :func:`local_addresses_of`.  For affine alignments
-    the caller supplies the allocation rank function's periodic
-    structure (``first``, ``period_span``, ``cycle_offsets`` -- see
-    :class:`repro.distribution.localize.RankFunction`) and the addresses
-    are mapped through :func:`periodic_rank_of`.
-    """
-    addrs = local_addresses_of(indices, p, k, a, b)
-    if a == 1 and b == 0:
-        return addrs
-    if first is None or period_span is None or cycle_offsets is None:
-        raise ValueError(
-            "non-identity alignments need the allocation rank structure "
-            "(first, period_span, cycle_offsets)"
-        )
-    return periodic_rank_of(addrs, first, period_span, cycle_offsets)

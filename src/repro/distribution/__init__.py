@@ -21,6 +21,7 @@ from .localize import (
     localized_arrays,
     localized_elements,
 )
+from .period import PeriodTable, build_period_table
 from .section import RegularSection
 
 __all__ = [
@@ -44,4 +45,6 @@ __all__ = [
     "localize_section",
     "localized_elements",
     "localized_arrays",
+    "PeriodTable",
+    "build_period_table",
 ]

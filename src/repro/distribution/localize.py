@@ -30,7 +30,6 @@ alone: one Figure 5 table, no rank function.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from ..core.access import AccessTable, compute_access_table, expand_sequence
 from ..core.counting import local_count
 from ..core.euclid import extended_gcd
-from ..core.kernels import periodic_floor_rank_of, periodic_rank_of
+from ..core.kernels import periodic_rank_of
 from .align import Alignment
 from .section import RegularSection
 
@@ -75,10 +74,8 @@ class RankFunction:
         self._position = {addr - self.first: t for t, addr in enumerate(addrs)}
         self.cycle = addrs
         # First-cycle relative offsets, ascending (the access sequence
-        # visits local addresses in increasing order): shared by
-        # floor_rank's bisect and the vectorized lookups.
-        self._rel = [a - self.first for a in addrs]
-        self._rel_arr = np.asarray(self._rel, dtype=np.int64)
+        # visits local addresses in increasing order).
+        self._rel_arr = np.asarray(addrs, dtype=np.int64) - self.first
 
     def rank(self, addr: int) -> int:
         """Array-local slot of the element stored at template-local
@@ -97,28 +94,11 @@ class RankFunction:
         q, t = divmod(slot, self.table.length)
         return self.cycle[t] + q * self.period_span
 
-    def floor_rank(self, addr: int) -> int:
-        """Number of allocation points with address ``<= addr`` minus one
-        (i.e. rank of the last allocation point at or before ``addr``);
-        ``-1`` when ``addr`` precedes the first point."""
-        delta = addr - self.first
-        if delta < 0:
-            return -1
-        q, r = divmod(delta, self.period_span)
-        pos = bisect_right(self._rel, r) - 1
-        return q * self.table.length + pos
-
     def rank_array(self, addrs) -> np.ndarray:
         """Vectorized :meth:`rank`: compressed slots of a whole address
         vector in one divmod + ``searchsorted`` pass (KeyError when any
         address holds no allocation point)."""
         return periodic_rank_of(
-            addrs, self.first, self.period_span, self._rel_arr
-        )
-
-    def floor_rank_array(self, addrs) -> np.ndarray:
-        """Vectorized :meth:`floor_rank`."""
-        return periodic_floor_rank_of(
             addrs, self.first, self.period_span, self._rel_arr
         )
 

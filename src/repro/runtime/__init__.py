@@ -1,11 +1,6 @@
 """HPF runtime: access plans, communication schedules, execution."""
 
-from .address import (
-    AccessPlan,
-    flat_local_addresses,
-    make_array_plan,
-    materialize_addresses,
-)
+from .address import flat_local_addresses
 from .commsets import CommSchedule, Transfer, compute_comm_schedule
 from .commsets2d import compute_comm_schedule_2d
 from .elastic import (
@@ -35,6 +30,7 @@ from .plancache import (
     cached_comm_schedule,
     cached_comm_schedule_2d,
     cached_localized_arrays,
+    cached_period_table,
     clear_plan_caches,
     invalidate_for_p,
 )
@@ -62,10 +58,7 @@ from .triangular import (
 )
 
 __all__ = [
-    "AccessPlan",
-    "make_array_plan",
     "flat_local_addresses",
-    "materialize_addresses",
     "CommSchedule",
     "Transfer",
     "compute_comm_schedule",
@@ -73,6 +66,7 @@ __all__ = [
     "cached_comm_schedule",
     "cached_comm_schedule_2d",
     "cached_localized_arrays",
+    "cached_period_table",
     "cache_stats",
     "clear_plan_caches",
     "invalidate_for_p",

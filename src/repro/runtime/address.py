@@ -1,91 +1,106 @@
-"""Access plans: everything one processor needs to traverse a section.
+"""Local addresses of every rank, read from the all-ranks period tables.
 
-An :class:`AccessPlan` is one dimension's periodic access sequence on
-one rank -- the starting compressed slot and the visit-order ΔM table of
-:func:`repro.distribution.localize.localize_section` -- bounded by the
-section's element count on that rank.  :func:`make_array_plan` builds
-it for any alignment (identity alignments take ``localize_section``'s
-one-table case) and :func:`materialize_addresses` expands it into the
-address vector a rank-1 fill stores through.  The Figure 8 node-code
-plans, with their shape-(d) tables, are bench code
-(:mod:`repro.bench.nodecode`).
+Each distributed dimension's owners and compressed slots come from its
+cached :class:`~repro.distribution.period.PeriodTable`, for every rank
+in one vectorized pass:
+
+* :func:`section_slots` -- every grid coordinate's slots of one section
+  along one dimension (the per-dimension plan a fill stores through,
+  memoized as :func:`repro.runtime.plancache.cached_array_plan`);
+* :func:`dim_indices` -- every coordinate's array indices of the whole
+  dimension in slot order (what ``distribute`` and ``collect`` move,
+  memoized as :func:`repro.runtime.plancache.cached_dim_indices`);
+* :func:`rank_vectors` picks one rank's vector of each dimension, and
+  :func:`rank_addresses` / :func:`flat_local_addresses` give one rank's
+  flat row-major addresses of a multidimensional section, the outer sum
+  of its per-dimension slot vectors (paper Section 2's reduction).
+
+The Figure 8 node-code plans are bench code (:mod:`repro.bench.nodecode`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.kernels import expand_table
 from ..core.multidim import compose_flat_addresses
 from ..distribution.array import DistributedArray
-from ..distribution.localize import bounded_count, localize_section
+from ..distribution.period import PeriodTable
 from ..distribution.section import RegularSection
-from .plancache import cached_localized_arrays
+from .plancache import cached_array_plan, cached_dim_indices, cached_period_table
 
 __all__ = [
-    "AccessPlan",
-    "make_array_plan",
-    "materialize_addresses",
+    "dim_period_table",
+    "section_slots",
+    "dim_indices",
+    "rank_vectors",
+    "rank_addresses",
     "flat_local_addresses",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AccessPlan:
-    """Per-processor traversal plan for a bounded section.
-
-    ``delta_m`` is the ΔM gap table in visit order and ``start_local`` the
-    first compressed slot; ``count`` is the number of elements the
-    processor owns within the bounds.  ``count == 0`` plans have
-    ``start_local is None``.
-    """
-
-    p: int
-    k: int
-    m: int
-    count: int
-    length: int
-    start_local: int | None
-    delta_m: tuple[int, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
+def _frozen(vec: np.ndarray) -> np.ndarray:
+    vec.flags.writeable = False
+    return vec
 
 
-def make_array_plan(
-    array: DistributedArray, dim: int, section: RegularSection, rank: int
-) -> AccessPlan:
-    """Plan for one dimension of a :class:`DistributedArray` section.
+def dim_period_table(dim) -> PeriodTable:
+    """The cached period table of one distributed dimension."""
+    layout = dim.layout
+    return cached_period_table(layout.p, layout.k, dim.axis_map.alignment, dim.extent)
 
-    Slots are *compressed array-local* slots, from
-    :func:`~repro.distribution.localize.localize_section` for every
-    alignment.  A section outside the dimension's extent raises
-    ``IndexError``.
+
+def section_slots(
+    array: DistributedArray, dim: int, section: RegularSection
+) -> tuple[np.ndarray, ...]:
+    """Every grid coordinate's compressed slots of ``section`` along
+    dimension ``dim``, in template order (the order of
+    :func:`repro.distribution.localize.localized_arrays`), as read-only
+    int64 vectors indexed by the coordinate on the dimension's grid axis.
+    An undistributed dimension has one "coordinate", whose slots are the
+    section's indices.  A non-empty section outside the dimension's
+    extent raises ``IndexError``.
     """
     d = array._dims[dim]
+    norm = section.normalized()
+    if norm.is_empty:
+        return (_frozen(np.empty(0, dtype=np.int64)),) * d.nprocs
+    if norm.lower < 0 or norm.upper >= d.extent:
+        raise IndexError(f"section {section} outside array extent {d.extent}")
     if d.layout is None:
-        raise ValueError(f"dimension {dim} of {array.name} is not distributed")
+        return (_frozen(np.arange(norm.lower, norm.upper + 1, norm.stride, dtype=np.int64)),)
+    return dim_period_table(d).slots_by_owner(norm.lower, norm.stride, len(norm))
+
+
+def dim_indices(dim) -> tuple[np.ndarray, ...]:
+    """Every coordinate's array indices along one dimension, in
+    compressed-slot order (index ``j`` of coordinate ``c``'s vector is
+    stored in local slot ``j``)."""
+    if dim.layout is None:
+        return (np.arange(dim.extent, dtype=np.int64),)
+    layout = dim.layout
+    return cached_dim_indices(layout.p, layout.k, dim.axis_map.alignment, dim.extent)
+
+
+def rank_vectors(array: DistributedArray, per_dim: list, rank: int) -> list:
+    """``rank``'s vector of each dimension, from per-dimension tuples
+    indexed by grid coordinate (one entry for an undistributed
+    dimension), such as :func:`section_slots` and :func:`dim_indices`
+    return."""
     coords = array.grid.coordinates(rank)
-    m = coords[d.axis_map.grid_axis]
-    p, k = d.layout.p, d.layout.k
-    alignment = d.axis_map.alignment
-    table = localize_section(p, k, d.extent, alignment, section, m)
-    # A non-empty (unbounded) cycle may still end, bounded, before the
-    # rank's first owned element.
-    count = 0 if table.is_empty else bounded_count(p, k, alignment, section, m)
-    if count == 0:
-        return AccessPlan(p, k, m, 0, 0, None, ())
-    return AccessPlan(p, k, m, count, table.length, table.start_slot, table.gaps)
+    return [
+        vecs[coords[dim.axis_map.grid_axis]] if dim.layout is not None else vecs[0]
+        for vecs, dim in zip(per_dim, array._dims)
+    ]
 
 
-def materialize_addresses(plan: AccessPlan) -> np.ndarray:
-    """All local addresses the plan covers, as one int64 vector -- the
-    vectorized Figure 8 table walk, and the address vector every rank-1
-    fill stores through."""
-    return expand_table(plan.start_local, plan.delta_m, plan.count)
+def rank_addresses(array: DistributedArray, per_dim: list, rank: int) -> np.ndarray:
+    """Flat local addresses on ``rank`` of the section whose per-dimension
+    all-coordinate slot vectors (from :func:`cached_array_plan`) are
+    ``per_dim``: odometer order, last dimension fastest."""
+    slots = rank_vectors(array, per_dim, rank)
+    if len(slots) == 1:
+        return slots[0]
+    return compose_flat_addresses(slots, array.local_shape(rank))
 
 
 def flat_local_addresses(
@@ -93,10 +108,10 @@ def flat_local_addresses(
 ) -> np.ndarray:
     """All flat local addresses of a multidimensional section on ``rank``.
 
-    The Section-2 reduction, vectorized: each distributed dimension runs
-    the 1-D algorithm for its slot vector and the flat addresses are a
-    broadcast outer sum over the row-major local shape.  Order is
-    odometer (last dimension fastest), matching
+    The Section-2 reduction, vectorized: each dimension's slot vector
+    comes from the plan cache and the flat addresses are a broadcast
+    outer sum over the row-major local shape.  Order is odometer (last
+    dimension fastest), matching
     :meth:`DistributedArray.local_section_elements`.
     """
     if len(sections) != array.rank:
@@ -104,22 +119,5 @@ def flat_local_addresses(
             f"need one section per dimension: {array.rank} dims, "
             f"{len(sections)} sections"
         )
-    coords = array.grid.coordinates(rank)
-    per_dim: list[np.ndarray] = []
-    for sec, dim in zip(sections, array._dims):
-        norm = sec.normalized()
-        if norm.is_empty:
-            return np.empty(0, dtype=np.int64)
-        if dim.layout is None:
-            if norm.lower < 0 or norm.upper >= dim.extent:
-                raise IndexError(f"section {sec} outside extent {dim.extent}")
-            per_dim.append(np.arange(norm.lower, norm.upper + 1, norm.stride,
-                                     dtype=np.int64))
-        else:
-            coord = coords[dim.axis_map.grid_axis]
-            _, slots = cached_localized_arrays(
-                dim.layout.p, dim.layout.k, dim.extent,
-                dim.axis_map.alignment, sec, coord,
-            )
-            per_dim.append(slots)
-    return compose_flat_addresses(per_dim, array.local_shape(rank))
+    per_dim = [cached_array_plan(array, d, sec) for d, sec in enumerate(sections)]
+    return rank_addresses(array, per_dim, rank)

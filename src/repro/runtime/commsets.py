@@ -7,16 +7,14 @@ value must be communicated.  "Generating local addresses and
 communication sets" is exactly the companion problem of the paper's
 Chatterjee et al. reference.
 
-The owner and compressed slot of one element are closed-form ``cyclic(k)``
-arithmetic, so the public :func:`compute_comm_schedule` needs no
-per-sender access table: :func:`dim_transfers` computes both sides'
-owners and slots for all ``n`` iterations at once
-(:mod:`repro.core.kernels`; non-identity alignments rank addresses
-through one cached rank function per owning coordinate), orders them by
-``(source, dest)`` and then iteration with one stable radix ``argsort``
-on a narrow unsigned key, and cuts the :class:`Transfer` buckets with
-one boundary split.  The paper's ΔM tables still drive fills,
-distribute/collect and :func:`repro.distribution.localize.localize_section`.
+Every rank's owner and compressed slot of every element come from one
+cached all-ranks period table per side
+(:class:`repro.distribution.period.PeriodTable`), so the public
+:func:`compute_comm_schedule` needs no per-sender access table:
+:func:`dim_transfers` reads both sides' owners and slots for all ``n``
+iterations at once, orders them by ``(source, dest)`` and then
+iteration with one stable radix ``argsort`` on a narrow unsigned key,
+and cuts the :class:`Transfer` buckets with one boundary split.
 :func:`repro.oracle.compute_comm_schedule_reference` keeps the
 original element-at-a-time loop over each sender's localized elements as
 the oracle the property tests and benchmarks compare against.
@@ -33,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.kernels import local_addresses_of, owners_of
 from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
+from .address import dim_period_table
 
 __all__ = [
     "Transfer",
@@ -159,32 +157,6 @@ def _check_conformable(sec_a: RegularSection, sec_b: RegularSection) -> None:
         )
 
 
-def _owners_and_slots(dim, sec: RegularSection, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Owning coordinates and compressed local slots of the first ``n``
-    elements of ``sec`` along one dimension, in iteration order.
-
-    Closed-form ``cyclic(k)`` arithmetic (:mod:`repro.core.kernels`).
-    Under the identity alignment the compressed slot *is* the
-    template-local address (the stride-1 allocation fills every local
-    cell); otherwise each owner's addresses are ranked within its
-    allocation by :meth:`_DimState.rank_function`, which is cached per
-    coordinate.
-    """
-    layout = dim.layout
-    align = dim.axis_map.alignment
-    indices = np.arange(n, dtype=np.int64)
-    indices *= sec.stride
-    indices += sec.lower
-    owners = owners_of(indices, layout.p, layout.k, align.a, align.b)
-    slots = local_addresses_of(indices, layout.p, layout.k, align.a, align.b)
-    del indices
-    if not align.is_identity:
-        for m in np.flatnonzero(np.bincount(owners, minlength=layout.p)):
-            sel = owners == m
-            slots[sel] = dim.rank_function(int(m)).rank_array(slots[sel])
-    return owners, slots
-
-
 def dim_transfers(
     dim_a, sec_a: RegularSection, dim_b, sec_b: RegularSection
 ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -192,9 +164,9 @@ def dim_transfers(
 
     Returns ``(q, r, src_slots, dst_slots)`` for every RHS coordinate
     ``q`` sending to LHS coordinate ``r``, ascending in ``(q, r)``, each
-    pair of vectors in ascending iteration order.  One
-    vectorized pass over all ``n`` iterations: both sides' owners and
-    slots in closed form, one stable radix ``argsort`` on the narrow key
+    pair of vectors in ascending iteration order.  One vectorized pass
+    over all ``n`` iterations: both sides' owners and slots from their
+    period tables, one stable radix ``argsort`` on the narrow key
     ``q * p_a + r``, and one boundary split into read-only slices.
 
     Shared by the 1-D schedule below and the tensor-product 2-D
@@ -208,12 +180,13 @@ def dim_transfers(
     # lets NumPy's stable sort take its radix path; int64 keys cost
     # measurably more on large schedules.
     key_type = np.min_scalar_type(p_a * dim_b.layout.p)
-    src, src_slots = _owners_and_slots(dim_b, sec_b, n)
-    key = src.astype(key_type)
+    src, src_slots = dim_period_table(dim_b).owners_and_slots(sec_b.lower, sec_b.stride, n)
+    # The owner vectors are fresh, so a same-dtype key may reuse one.
+    key = src.astype(key_type, copy=False)
     del src
     key *= key_type.type(p_a)
-    dst, dst_slots = _owners_and_slots(dim_a, sec_a, n)
-    key += dst.astype(key_type)
+    dst, dst_slots = dim_period_table(dim_a).owners_and_slots(sec_a.lower, sec_a.stride, n)
+    key += dst
     del dst
     # Stable: within one (q, r) bucket the iterations stay ascending.
     order = np.argsort(key, kind="stable")
@@ -240,9 +213,9 @@ def compute_comm_schedule(
 
     The two sections must have equal lengths (conformable statement).
     One pass of :func:`dim_transfers` over all ``n`` iterations and all
-    ranks -- O(n) vector ops plus one O(k) rank-function table per
-    owning rank of a non-identity alignment; no per-element Python
-    executes.  Produces transfers element-for-element identical to
+    ranks -- O(n) vector ops plus, on a period-table miss, one O(k)
+    Figure 5 table per rank; no per-element Python executes.  Produces
+    transfers element-for-element identical to
     :func:`repro.oracle.compute_comm_schedule_reference`.
     """
     _check_rank1(a, "LHS")

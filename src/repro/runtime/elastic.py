@@ -55,6 +55,7 @@ from ..distribution.dist import Distribution, ProcessorGrid
 from ..distribution.section import RegularSection
 from ..machine.checkpoint import Checkpoint, CheckpointStore
 from ..machine.iface import Machine
+from .address import rank_vectors
 from .exec import _dim_images, _is_lowest_owner, distribute
 from .plancache import (
     cached_comm_schedule,
@@ -224,6 +225,7 @@ def image_from_snapshot(
     are still readable here even though its volatile memory is gone.
     """
     out: np.ndarray | None = None
+    images = _dim_images(array)
     for rank in range(array.grid.size):
         if not _is_lowest_owner(array, rank):
             continue
@@ -240,11 +242,9 @@ def image_from_snapshot(
             )
         if out is None:
             out = np.zeros(array.shape, dtype=values.dtype)
-        dims = _dim_images(array, rank)
-        local = values.reshape(array.local_shape(rank))
-        out[np.ix_(*[idx for idx, _ in dims])] = local[
-            np.ix_(*[slots for _, slots in dims])
-        ]
+        out[np.ix_(*rank_vectors(array, images, rank))] = values.reshape(
+            array.local_shape(rank)
+        )
     assert out is not None  # grids are non-empty
     return out
 

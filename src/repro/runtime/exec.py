@@ -7,8 +7,9 @@ communication schedules, and the SPMD machine runs the node programs.
 * :func:`distribute` / :func:`collect` move whole arrays between a
   sequential NumPy "host" image and per-rank local memories (used for
   initialization and verification);
-* :func:`execute_fill` runs ``A(sections) = value``: each rank's local
-  addresses, then one NumPy indexed store;
+* :func:`execute_fill` runs ``A(sections) = value``: every rank's local
+  addresses from the all-ranks period tables, then one NumPy indexed
+  store per rank;
 * :func:`execute_copy` runs ``A(sec_a) = B(sec_b)`` with generated
   communication (pack / exchange / unpack supersteps);
 * :func:`execute_combine` runs the scaled sum ``A(sec_a) = c0*T0(...) +
@@ -32,13 +33,12 @@ import numpy as np
 from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
 from ..machine.vm import VirtualMachine
-from .address import flat_local_addresses, materialize_addresses
+from .address import dim_indices, rank_addresses, rank_vectors
 from .commsets import CommSchedule
 from .plancache import (
     cached_array_plan,
     cached_comm_schedule,
     cached_comm_schedule_2d,
-    cached_localized_arrays,
 )
 
 __all__ = [
@@ -86,28 +86,13 @@ def _check_vm(vm: VirtualMachine, array: DistributedArray) -> None:
         )
 
 
-def _dim_images(
-    array: DistributedArray, rank: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-dimension ``(global_indices, local_slots)`` vectors of the
-    *whole* array on ``rank`` -- the layout closed form each dimension's
-    access-sequence machinery produces for the full-extent section."""
-    rc = array.grid.coordinates(rank)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for dim in array._dims:
-        if dim.layout is None:
-            idx = np.arange(dim.extent, dtype=np.int64)
-            out.append((idx, idx))
-        else:
-            coord = rc[dim.axis_map.grid_axis]
-            out.append(
-                cached_localized_arrays(
-                    dim.layout.p, dim.layout.k, dim.extent,
-                    dim.axis_map.alignment,
-                    RegularSection(0, dim.extent - 1, 1), coord,
-                )
-            )
-    return out
+def _dim_images(array: DistributedArray) -> list[tuple[np.ndarray, ...]]:
+    """Per dimension, every coordinate's array indices in compressed-slot
+    order (:func:`repro.runtime.address.dim_indices`): the whole-array
+    image of every rank, from one pass over each dimension's period
+    table.  ``host[np.ix_(*rank_vectors(array, images, rank))]`` is
+    ``rank``'s local array."""
+    return [dim_indices(dim) for dim in array._dims]
 
 
 def _is_lowest_owner(array: DistributedArray, rank: int) -> bool:
@@ -132,8 +117,8 @@ def distribute(
     array).  Replicated axes receive full copies.
 
     Vectorized: each rank's local image is one cross-product fancy-index
-    gather/scatter built from the per-dimension layout closed forms --
-    no per-element ownership tests
+    gather of the host image, from every dimension's all-ranks indices
+    -- no per-element ownership tests
     (:func:`repro.oracle.distribute_reference` keeps that scalar sweep).
     """
     _check_vm(vm, array)
@@ -143,13 +128,9 @@ def distribute(
             f"host image shape {values.shape} != array shape {array.shape}"
         )
     with vm.obs.span("distribute", array=array.name):
+        images = _dim_images(array)
         for rank in range(array.grid.size):
-            shape = array.local_shape(rank)
-            local = np.zeros(shape, dtype=values.dtype)
-            dims = _dim_images(array, rank)
-            local[np.ix_(*[slots for _, slots in dims])] = values[
-                np.ix_(*[idx for idx, _ in dims])
-            ]
+            local = values[np.ix_(*rank_vectors(array, images, rank))]
             proc = vm.processors[rank]
             proc.allocate(array.name, local.size, dtype=values.dtype)
             proc.memory(array.name)[:] = local.reshape(-1)
@@ -170,16 +151,13 @@ def collect(
     _check_vm(vm, array)
     out = np.zeros(array.shape, dtype=dtype)
     with vm.obs.span("collect", array=array.name):
+        images = _dim_images(array)
         for rank in range(array.grid.size):
             if not _is_lowest_owner(array, rank):
                 continue
-            dims = _dim_images(array, rank)
-            local = vm.processors[rank].memory(array.name).reshape(
-                array.local_shape(rank)
-            )
-            out[np.ix_(*[idx for idx, _ in dims])] = local[
-                np.ix_(*[slots for _, slots in dims])
-            ]
+            out[np.ix_(*rank_vectors(array, images, rank))] = vm.processors[
+                rank
+            ].memory(array.name).reshape(array.local_shape(rank))
     return out
 
 
@@ -191,10 +169,11 @@ def execute_fill(
 ) -> int:
     """Run ``A(sections) = value`` on every rank; returns elements written.
 
-    One loop for every array rank.  Each rank materializes its local
-    addresses -- a rank-1 array expands its cached ΔM plan (Figure 8's
-    table walk, vectorized), a multidimensional one takes the outer sum
-    of its per-dimension slot vectors -- and stores ``value`` through
+    One loop for every array rank.  Every dimension's plan holds all
+    ranks' slot vectors (:func:`repro.runtime.plancache.cached_array_plan`,
+    read from the period tables in one pass, so a section outside the
+    extent raises ``IndexError`` before any store); each rank takes the
+    outer sum of its per-dimension slots and stores ``value`` through
     them in one NumPy fancy store.  Every replica is written; each
     logical element is counted once, at its lowest owner.
     """
@@ -205,13 +184,9 @@ def execute_fill(
         )
     total = 0
     with vm.obs.span("execute_fill", array=array.name):
+        plans = [cached_array_plan(array, d, sec) for d, sec in enumerate(sections)]
         for rank in range(array.grid.size):
-            if array.rank == 1:
-                addrs = materialize_addresses(
-                    cached_array_plan(array, 0, sections[0], rank)
-                )
-            else:
-                addrs = flat_local_addresses(array, sections, rank)
+            addrs = rank_addresses(array, plans, rank)
             if not len(addrs):
                 continue
             vm.processors[rank].memory(array.name)[addrs] = value

@@ -8,11 +8,18 @@ compile-time constants -- the same communication schedules.  All of
 these are pure functions of hashable layout descriptors, so this module
 memoizes them:
 
+* :func:`cached_period_table` -- the all-ranks
+  :class:`~repro.distribution.period.PeriodTable` of one ``(p, k,
+  alignment)``, which gives every rank's owners and compressed slots;
+* :func:`cached_dim_indices` -- every rank's array indices of one whole
+  dimension in slot order, the image ``distribute`` and ``collect`` move
+  (a few entries: each is as long as the dimension);
 * :func:`cached_localized_arrays` -- the ``(p, k, extent, alignment,
   section, rank)``-keyed index/slot vectors of
   :func:`repro.distribution.localize.localized_arrays`;
-* :func:`cached_array_plan` -- per-dimension :class:`AccessPlan` objects
-  keyed on the owning array's :meth:`DistributedArray.descriptor`;
+* :func:`cached_array_plan` -- every rank's compressed slots of one
+  section along one dimension, keyed on the owning array's
+  :meth:`DistributedArray.descriptor`;
 * :func:`cached_comm_schedule` / :func:`cached_comm_schedule_2d` --
   whole communication schedules keyed on both sides' descriptors plus
   the section bounds (name-independent: transfers carry only ranks and
@@ -40,11 +47,14 @@ from typing import Callable, TypeVar
 
 from ..distribution.array import DistributedArray
 from ..distribution.localize import localized_arrays
+from ..distribution.period import PeriodTable, build_period_table, period_key
 from ..distribution.section import RegularSection
 from ..obs import ambient
 
 __all__ = [
     "PlanCache",
+    "cached_period_table",
+    "cached_dim_indices",
     "cached_localized_arrays",
     "cached_array_plan",
     "cached_comm_schedule",
@@ -65,13 +75,18 @@ class PlanCache:
     never around ``compute``, so two threads missing on one key may both
     compute it; plans are pure functions of their keys, so either result
     is correct and the later insert wins.
+
+    A ``nested`` cache is looked up from inside other caches' computes;
+    its misses record no ``plan_compute`` span of their own, so the time
+    is counted once, in the enclosing span.
     """
 
-    def __init__(self, name: str, maxsize: int) -> None:
+    def __init__(self, name: str, maxsize: int, nested: bool = False) -> None:
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.name = name
         self.maxsize = maxsize
+        self.nested = nested
         self._reset_for_new_process()
 
     def _reset_for_new_process(self) -> None:
@@ -107,8 +122,11 @@ class PlanCache:
             return entry[0]  # type: ignore[return-value]
 
         obs.inc(f"plancache.{self.name}.misses")
-        with obs.span("plan_compute", cache=self.name):
+        if self.nested:
             value = compute()
+        else:
+            with obs.span("plan_compute", cache=self.name):
+                value = compute()
         evicted = 0
         with self._lock:
             data.pop(key, None)
@@ -189,8 +207,34 @@ _CACHES = (
     PlanCache("array_plans", 4096),
     PlanCache("comm_schedules", 512),
     PlanCache("comm_schedules_2d", 256),
+    PlanCache("period_tables", 1024, nested=True),
+    PlanCache("dim_indices", 16),
 )
-(_localized_cache, _plan_cache, _schedule_cache, _schedule2d_cache) = _CACHES
+(_localized_cache, _plan_cache, _schedule_cache, _schedule2d_cache,
+ _period_cache, _indices_cache) = _CACHES
+
+
+def cached_period_table(p: int, k: int, alignment, extent: int) -> PeriodTable:
+    """Memoized :func:`repro.distribution.period.build_period_table` for
+    an ``extent``-element array aligned by ``alignment`` under
+    ``cyclic(k)`` over ``p`` processors.  Positive alignments share one
+    table across extents (see :func:`~repro.distribution.period.period_key`)."""
+    key = period_key(p, k, alignment, extent)
+    return _period_cache.get_or_compute(
+        key, lambda: build_period_table(*key), ps=(p,)
+    )
+
+
+def cached_dim_indices(p: int, k: int, alignment, extent: int) -> tuple:
+    """Memoized :meth:`~repro.distribution.period.PeriodTable.indices_by_owner`
+    of an ``extent``-element dimension: every coordinate's array indices
+    in compressed-slot order (read-only, shared)."""
+    key = (period_key(p, k, alignment, extent), extent)
+    return _indices_cache.get_or_compute(
+        key,
+        lambda: cached_period_table(p, k, alignment, extent).indices_by_owner(extent),
+        ps=(p,),
+    )
 
 
 def cached_localized_arrays(p, k, extent, alignment, section, rank):
@@ -207,19 +251,19 @@ def cached_localized_arrays(p, k, extent, alignment, section, rank):
     )
 
 
-def cached_array_plan(
-    array: DistributedArray, dim: int, section: RegularSection, rank: int
-):
-    """Memoized :func:`repro.runtime.address.make_array_plan`, keyed on
+def cached_array_plan(array: DistributedArray, dim: int, section: RegularSection):
+    """Memoized :func:`repro.runtime.address.section_slots`: every grid
+    coordinate's compressed slots of ``section`` along ``dim``.  Keyed on
     ``(p, layout descriptor)`` -- not the array's identity/name.  The
     explicit leading rank count makes membership epochs first-class in
-    the key space alongside the entry's ``ps`` tag."""
-    from .address import make_array_plan
+    the key space alongside the entry's ``ps`` tag.  A section outside
+    the dimension's extent raises ``IndexError``."""
+    from .address import section_slots
 
     p = array.grid.size
-    key = (p, array.descriptor(), dim, section, rank)
+    key = (p, array.descriptor(), dim, section)
     return _plan_cache.get_or_compute(
-        key, lambda: make_array_plan(array, dim, section, rank), ps=(p,)
+        key, lambda: section_slots(array, dim, section), ps=(p,)
     )
 
 

@@ -73,16 +73,6 @@ class TestRankFunction:
         with pytest.raises(ValueError, match="nonnegative"):
             RankFunction(table).unrank(-1)
 
-    def test_floor_rank(self):
-        table = compute_access_table(4, 8, 0, 3, 0)
-        ranks = RankFunction(table)
-        addrs = table.local_addresses(10)
-        for r, addr in enumerate(addrs):
-            assert ranks.floor_rank(addr) == r
-            if r + 1 < len(addrs) and addrs[r + 1] > addr + 1:
-                assert ranks.floor_rank(addr + 1) == r
-        assert ranks.floor_rank(addrs[0] - 1) == -1
-
 
 class TestLocalizeSection:
     def test_identity_matches_access_table(self, paper_params):

@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.bench.nodecode import make_plan
+from repro.bench.nodecode import make_array_plan, make_plan, materialize_addresses
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
-from repro.runtime.address import make_array_plan, materialize_addresses
 
 from ..conftest import bounded_access_params
 

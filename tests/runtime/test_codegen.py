@@ -1,5 +1,5 @@
 """Tests for the Figure 8 node-code shapes (:mod:`repro.bench.nodecode`)
-and the address materialization the runtime's fill stores through."""
+and the address materialization of shape (v)."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.machine.trace import TracingMemory
-from repro.bench.nodecode import SHAPES, make_plan
-from repro.runtime.address import materialize_addresses
+from repro.bench.nodecode import SHAPES, make_plan, materialize_addresses
 
 from ..conftest import bounded_access_params
 

@@ -441,9 +441,10 @@ class TestPlanCacheEpochs:
         a4 = make_1d("A", 30, 4, 2)
         a3 = make_1d("A", 30, 3, 2)
         sec = RegularSection(0, 29, 1)
-        cached_array_plan(a4, 0, sec, 0)
-        cached_array_plan(a3, 0, sec, 0)
-        assert invalidate_for_p(4) == 1
+        cached_array_plan(a4, 0, sec)
+        cached_array_plan(a3, 0, sec)
+        # The p=4 plan and the p=4 period table it was read from.
+        assert invalidate_for_p(4) == 2
         stats = cache_stats()["array_plans"]
         assert stats["entries"] == 1 and stats["invalidations"] == 1
         assert invalidate_for_p(4) == 0

@@ -16,9 +16,7 @@ from repro.core.access import compute_access_table
 from repro.core.kernels import (
     expand_table,
     local_addresses_of,
-    local_slots_of,
     owners_of,
-    periodic_floor_rank_of,
     periodic_rank_of,
 )
 from repro.distribution.align import Alignment
@@ -109,12 +107,6 @@ class TestCoordinateKernels:
             layout.local_address(c) for c in cells
         ]
 
-    def test_identity_slots_are_addresses(self):
-        idx = np.arange(40, dtype=np.int64)
-        assert np.array_equal(
-            local_slots_of(idx, 4, 3), local_addresses_of(idx, 4, 3)
-        )
-
     def test_affine_cell_overflow_is_rejected(self):
         # 3 * 2**62 does not fit in int64: the vector path used to wrap
         # to owner 6 / address -658812288346769704, where the scalar
@@ -128,15 +120,11 @@ class TestCoordinateKernels:
         # The identity alignment stays check-free and exact.
         assert owners_of(idx, 7, 5).tolist() == [CyclicLayout(7, 5).owner(2**62)]
 
-    def test_affine_slots_need_rank_structure(self):
-        with pytest.raises(ValueError):
-            local_slots_of(np.arange(4), 2, 3, a=2, b=1)
-
 
 class TestPeriodicRank:
     @given(draw_params())
     @settings(max_examples=150, deadline=None)
-    def test_rank_and_floor_match_scalar(self, params):
+    def test_rank_matches_scalar(self, params):
         p, k, n, align, _sec, m = params
         alloc = align.allocation_section(n).normalized()
         table = compute_access_table(p, k, alloc.lower, alloc.stride, m)
@@ -146,11 +134,6 @@ class TestPeriodicRank:
         addrs = np.asarray(table.local_addresses(3 * table.length + 1))
         assert ranks.rank_array(addrs).tolist() == [
             ranks.rank(int(x)) for x in addrs
-        ]
-        # floor_rank over a dense probe range straddling `first`.
-        probe = np.arange(ranks.first - 3, int(addrs[-1]) + 3)
-        assert ranks.floor_rank_array(probe).tolist() == [
-            ranks.floor_rank(int(x)) for x in probe
         ]
 
     def test_strict_raises_nonstrict_flags(self):
@@ -175,8 +158,6 @@ class TestPeriodicRank:
     def test_rejects_empty_offsets(self):
         with pytest.raises(ValueError):
             periodic_rank_of(np.asarray([0]), 0, 4, np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            periodic_floor_rank_of(np.asarray([0]), 0, 4, np.empty(0, dtype=np.int64))
 
 
 class TestLocalizedArrays:

@@ -16,7 +16,8 @@ from repro.distribution import (
 from repro.machine.trace import machine_report
 from repro.machine.vm import VirtualMachine
 from repro.runtime import execute_copy
-from repro.runtime.address import make_array_plan
+from repro.bench.nodecode import make_array_plan, materialize_addresses
+from repro.runtime.address import section_slots
 from repro.runtime.commsets import compute_comm_schedule
 from repro.runtime.plancache import (
     PlanCache,
@@ -120,18 +121,24 @@ class TestCachedPlans:
     def test_identical_to_fresh_plan(self):
         arr = make_1d("A", 60, 4, 3)
         sec = RegularSection(2, 57, 5)
+        cached = cached_array_plan(arr, 0, sec)
+        fresh = section_slots(arr, 0, sec)
+        assert len(cached) == 4
         for rank in range(4):
-            assert cached_array_plan(arr, 0, sec, rank) == make_array_plan(
-                arr, 0, sec, rank
-            )
+            assert not cached[rank].flags.writeable
+            assert cached[rank].tolist() == fresh[rank].tolist()
+            # ... and equal to the rank's expanded ΔM plan.
+            assert cached[rank].tolist() == materialize_addresses(
+                make_array_plan(arr, 0, sec, rank)
+            ).tolist()
 
     def test_keyed_on_descriptor_not_name(self):
         sec = RegularSection(0, 59, 1)
         a = make_1d("A", 60, 4, 3)
         b = make_1d("B", 60, 4, 3)  # same layout, different name
-        assert cached_array_plan(a, 0, sec, 1) is cached_array_plan(b, 0, sec, 1)
+        assert cached_array_plan(a, 0, sec) is cached_array_plan(b, 0, sec)
         c = make_1d("C", 60, 4, 5)  # different block size
-        assert cached_array_plan(a, 0, sec, 1) is not cached_array_plan(c, 0, sec, 1)
+        assert cached_array_plan(a, 0, sec) is not cached_array_plan(c, 0, sec)
 
 
 class TestCachedSchedules:
@@ -210,7 +217,7 @@ class TestReporting:
 
     def test_clear_resets_all(self):
         a = make_1d("A", 30, 3, 2)
-        cached_array_plan(a, 0, RegularSection(0, 29, 1), 0)
+        cached_array_plan(a, 0, RegularSection(0, 29, 1))
         cached_localized_arrays(3, 2, 30, Alignment(1, 0), RegularSection(0, 29, 1), 0)
         assert any(c["entries"] for c in cache_stats().values())
         clear_plan_caches()
@@ -229,7 +236,7 @@ class TestForkSafety:
         import multiprocessing
 
         a = make_1d("A", 30, 3, 2)
-        cached_array_plan(a, 0, RegularSection(0, 29, 1), 0)
+        cached_array_plan(a, 0, RegularSection(0, 29, 1))
         cached_localized_arrays(3, 2, 30, Alignment(1, 0), RegularSection(0, 29, 1), 0)
         parent_stats = cache_stats()
         assert any(c["entries"] for c in parent_stats.values())
@@ -259,12 +266,12 @@ class TestForkSafety:
         from repro.runtime import plancache
 
         a = make_1d("A", 30, 3, 2)
-        cached_array_plan(a, 0, RegularSection(0, 29, 1), 0)
+        cached_array_plan(a, 0, RegularSection(0, 29, 1))
         assert cache_stats()["array_plans"]["entries"] == 1
         original = plancache._owner_pid
         try:
             plancache._owner_pid = original - 1  # simulate an inherited pid
-            cached_array_plan(a, 0, RegularSection(0, 29, 1), 0)
+            cached_array_plan(a, 0, RegularSection(0, 29, 1))
             stats = cache_stats()["array_plans"]
             # The stale entry was discarded and this lookup recomputed.
             assert stats["entries"] == 1

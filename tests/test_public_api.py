@@ -73,6 +73,7 @@ class TestTopLevel:
             "repro.distribution.section", "repro.distribution.layout",
             "repro.distribution.dist", "repro.distribution.align",
             "repro.distribution.array", "repro.distribution.localize",
+            "repro.distribution.period",
             "repro.machine.vm", "repro.machine.network",
             "repro.machine.collectives", "repro.machine.topology",
             "repro.machine.costmodel", "repro.machine.trace",
