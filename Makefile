@@ -1,7 +1,7 @@
 # Convenience targets for the PPoPP '95 reproduction.
 
 .PHONY: install test bench bench-kernels bench-native bench-elastic \
-	bench-e2e faults soak mp-soak elastic-soak reproduce \
+	bench-e2e bench-check faults soak mp-soak elastic-soak reproduce \
 	examples trace profile clean clean-reports
 
 # Seeds the fault-injection sweep runs under (space separated).
@@ -54,6 +54,21 @@ bench-elastic:
 bench-e2e:
 	pytest -q benchmarks/e2e
 	python3 benchmarks/e2e/run.py --quick --trace 0 1 --out bench-e2e-quick.json
+
+# Same-host A/B of the end-to-end benchmark: this tree against its
+# merge-base with main, checked out into a temporary git worktree, ten
+# alternating timed runs a side, then one traced run a side (compare.py
+# checks exact counts on traced runs only).  Fails when compare.py
+# reports a `worse` metric or a count mismatch; the worktree is removed
+# either way.
+bench-check:
+	set -e; base=$$(git merge-base HEAD main); wt=$$(mktemp -d); rmdir "$$wt"; \
+	git worktree add --detach "$$wt" "$$base"; \
+	trap 'git worktree remove --force "$$wt"' EXIT; \
+	python3 benchmarks/e2e/compare.py --checkouts "$$wt" . --repeat 10; \
+	(cd "$$wt" && python3 benchmarks/e2e/run.py --trace 1 --out traced.json >/dev/null); \
+	python3 benchmarks/e2e/run.py --trace 1 --out .bench_build/traced.json >/dev/null; \
+	python3 benchmarks/e2e/compare.py --base "$$wt/traced.json" --new .bench_build/traced.json
 
 # Fault-injection + resilient-protocol suites at several seeds
 # (docs/FAULT_MODEL.md): same seed => same fault trace, so any failure

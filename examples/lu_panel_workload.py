@@ -6,7 +6,8 @@ Geijn & Walker's scalable dense linear algebra: factorizations shrink
 their active region every step, so BLOCK distributions idle more and
 more processors, while block-scattered (cyclic(k)) mappings keep the
 shrinking triangle spread over everyone.  This example quantifies that
-with the trapezoid machinery, then performs the classic supporting
+with the paper's closed-form per-rank counts (checked against a
+brute-force ownership count), then performs the classic supporting
 runtime operation -- redistributing an array from cyclic(1) to BLOCK --
 and prints the traffic matrix the communication sets induce.
 
@@ -15,23 +16,21 @@ Run:  python examples/lu_panel_workload.py
 
 import numpy as np
 
+from repro.core.counting import local_count
 from repro.distribution import (
     AxisMap,
     Block,
     CyclicK,
     DistributedArray,
     ProcessorGrid,
-    RegularSection,
 )
 from repro.machine import VirtualMachine
 from repro.runtime import (
-    Trapezoid,
     collect,
     distribute,
     plan_redistribution,
     redistribute,
     traffic_matrix,
-    trapezoid_local_counts,
 )
 
 N = 96  # matrix order
@@ -46,6 +45,28 @@ def build(name: str, kr: int, kc: int) -> DistributedArray:
     )
 
 
+def trailing_counts(array: DistributedArray, step: int) -> list[int]:
+    """Per-rank element counts of the trailing submatrix A(step:, step:).
+
+    A rank's count is the product of its row and column coordinates'
+    shares of ``step:N-1``, each the paper's O(k) ``local_count``.
+    """
+    rows, cols = (
+        [local_count(lay.p, lay.k, step, N - 1, 1, m) for m in range(lay.p)]
+        for lay in (array.dim_layout(0), array.dim_layout(1))
+    )
+    counts = [0] * array.grid.size
+    for mr, n_rows in enumerate(rows):
+        for mc, n_cols in enumerate(cols):
+            counts[array.grid.linearize((mr, mc))] = n_rows * n_cols
+    brute = [0] * array.grid.size
+    for i in range(step, N):
+        for j in range(step, N):
+            brute[array.owner((i, j))] += 1
+    assert counts == brute, (array.name, step, counts, brute)
+    return counts
+
+
 def main() -> None:
     # --- Part 1: trailing-submatrix load balance over LU steps.
     cyclic = build("C", 4, 4)
@@ -54,11 +75,8 @@ def main() -> None:
           f"A(step:, step:) work per rank:\n")
     print(f"{'step':>6} {'cyclic(4) max/min':>20} {'BLOCK max/min':>16}")
     for step in (0, N // 4, N // 2, 3 * N // 4):
-        trap = Trapezoid(
-            RegularSection(step, N - 1, 1), 0, step, 0, N - 1
-        )  # full trailing rows x [step, N)
-        c = trapezoid_local_counts(cyclic, trap)
-        b = trapezoid_local_counts(blocky, trap)
+        c = trailing_counts(cyclic, step)
+        b = trailing_counts(blocky, step)
         c_ratio = max(c) / max(min(c), 1)
         b_ratio = max(b) / max(min(b), 1)
         print(f"{step:>6} {c_ratio:>20.2f} {b_ratio:>16.2f}")

@@ -12,6 +12,15 @@ Public surface of the core algorithm family:
   generation (Section 6.2);
 * counting / bounds helpers for the upper-bound handling the table
   itself factors out.
+
+Three modules run on no end-to-end workload; each is kept for a bench
+or paper-table user:
+
+* :mod:`.fsm` -- ``benchmarks/bench_fsm.py`` and its "FSM amortization"
+  section in EXPERIMENTS.md;
+* :mod:`.offsets` -- Table 2's shape (d) in :mod:`repro.bench.nodecode`;
+* :mod:`.generator` -- ablation A2 in :mod:`repro.bench.ablations` and
+  ``examples/quickstart.py``.
 """
 
 from .access import AccessTable, StartInfo, compute_access_table, start_location
@@ -22,15 +31,9 @@ from .counting import (
     owner_histogram,
     section_length,
 )
-from .diagonal import DiagonalAccess, diagonal_iterations
 from .euclid import ExtendedGcd, extended_gcd, gcd, lcm, mod_inverse
 from .fsm import AccessFSM, Transition
-from .kernels import (
-    expand_table,
-    local_addresses_of,
-    owners_of,
-    periodic_rank_of,
-)
+from .kernels import expand_table
 from .multidim import compose_flat_addresses, odometer_addresses, row_major_strides
 from .generator import RLCursor, iter_global_indices, iter_local_addresses
 from .lattice import (
@@ -61,15 +64,10 @@ __all__ = [
     "iter_local_addresses",
     "AccessFSM",
     "Transition",
-    "DiagonalAccess",
-    "diagonal_iterations",
     "compose_flat_addresses",
     "odometer_addresses",
     "row_major_strides",
     "expand_table",
-    "owners_of",
-    "local_addresses_of",
-    "periodic_rank_of",
     "ExtendedGcd",
     "extended_gcd",
     "gcd",

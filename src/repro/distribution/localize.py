@@ -37,7 +37,6 @@ import numpy as np
 from ..core.access import AccessTable, compute_access_table, expand_sequence
 from ..core.counting import local_count
 from ..core.euclid import extended_gcd
-from ..core.kernels import periodic_rank_of
 from .align import Alignment
 from .section import RegularSection
 
@@ -73,9 +72,6 @@ class RankFunction:
         self.first = addrs[0]
         self._position = {addr - self.first: t for t, addr in enumerate(addrs)}
         self.cycle = addrs
-        # First-cycle relative offsets, ascending (the access sequence
-        # visits local addresses in increasing order).
-        self._rel_arr = np.asarray(addrs, dtype=np.int64) - self.first
 
     def rank(self, addr: int) -> int:
         """Array-local slot of the element stored at template-local
@@ -93,14 +89,6 @@ class RankFunction:
             raise ValueError(f"slot must be nonnegative, got {slot}")
         q, t = divmod(slot, self.table.length)
         return self.cycle[t] + q * self.period_span
-
-    def rank_array(self, addrs) -> np.ndarray:
-        """Vectorized :meth:`rank`: compressed slots of a whole address
-        vector in one divmod + ``searchsorted`` pass (KeyError when any
-        address holds no allocation point)."""
-        return periodic_rank_of(
-            addrs, self.first, self.period_span, self._rel_arr
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,9 +11,9 @@ in one vectorized pass:
   dimension in slot order (what ``distribute`` and ``collect`` move,
   memoized as :func:`repro.runtime.plancache.cached_dim_indices`);
 * :func:`rank_vectors` picks one rank's vector of each dimension, and
-  :func:`rank_addresses` / :func:`flat_local_addresses` give one rank's
-  flat row-major addresses of a multidimensional section, the outer sum
-  of its per-dimension slot vectors (paper Section 2's reduction).
+  :func:`rank_addresses` gives one rank's flat row-major addresses of a
+  multidimensional section, the outer sum of its per-dimension slot
+  vectors (paper Section 2's reduction).
 
 The Figure 8 node-code plans are bench code (:mod:`repro.bench.nodecode`).
 """
@@ -26,7 +26,7 @@ from ..core.multidim import compose_flat_addresses
 from ..distribution.array import DistributedArray
 from ..distribution.period import PeriodTable
 from ..distribution.section import RegularSection
-from .plancache import cached_array_plan, cached_dim_indices, cached_period_table
+from .plancache import cached_dim_indices, cached_period_table
 
 __all__ = [
     "dim_period_table",
@@ -34,7 +34,6 @@ __all__ = [
     "dim_indices",
     "rank_vectors",
     "rank_addresses",
-    "flat_local_addresses",
 ]
 
 
@@ -102,22 +101,3 @@ def rank_addresses(array: DistributedArray, per_dim: list, rank: int) -> np.ndar
         return slots[0]
     return compose_flat_addresses(slots, array.local_shape(rank))
 
-
-def flat_local_addresses(
-    array: DistributedArray, sections: tuple[RegularSection, ...], rank: int
-) -> np.ndarray:
-    """All flat local addresses of a multidimensional section on ``rank``.
-
-    The Section-2 reduction, vectorized: each dimension's slot vector
-    comes from the plan cache and the flat addresses are a broadcast
-    outer sum over the row-major local shape.  Order is odometer (last
-    dimension fastest), matching
-    :meth:`DistributedArray.local_section_elements`.
-    """
-    if len(sections) != array.rank:
-        raise ValueError(
-            f"need one section per dimension: {array.rank} dims, "
-            f"{len(sections)} sections"
-        )
-    per_dim = [cached_array_plan(array, d, sec) for d, sec in enumerate(sections)]
-    return rank_addresses(array, per_dim, rank)

@@ -16,7 +16,9 @@ memoizes them:
   (a few entries: each is as long as the dimension);
 * :func:`cached_localized_arrays` -- the ``(p, k, extent, alignment,
   section, rank)``-keyed index/slot vectors of
-  :func:`repro.distribution.localize.localized_arrays`;
+  :func:`repro.distribution.localize.localized_arrays` (no runtime
+  statement reads it; tests do, and ``benchmarks/e2e/layers.py`` wraps
+  it by name);
 * :func:`cached_array_plan` -- every rank's compressed slots of one
   section along one dimension, keyed on the owning array's
   :meth:`DistributedArray.descriptor`;

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.access
-from repro.core.kernels import owners_of
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import CyclicK, ProcessorGrid
@@ -41,7 +40,6 @@ def check(p, k, n, a, b, sec):
     # Owners and slots of every index; per-rank counts.
     owners, slots = table.owners_and_slots(0, 1, n)
     assert owners.dtype == np.min_scalar_type(p - 1)
-    assert owners.tolist() == owners_of(np.arange(n), p, k, a, b).tolist()
     for i in range(n):
         assert owners[i] == arr.owner((i,))
         assert slots[i] == arr.local_slots((i,), int(owners[i]))[0]

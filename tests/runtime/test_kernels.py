@@ -12,19 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.access import compute_access_table
-from repro.core.kernels import (
-    expand_table,
-    local_addresses_of,
-    owners_of,
-    periodic_rank_of,
-)
+from repro.core.kernels import expand_table
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import CyclicK, ProcessorGrid
-from repro.distribution.layout import CyclicLayout
 from repro.distribution.localize import (
-    RankFunction,
     localize_section,
     localized_arrays,
     localized_elements,
@@ -90,74 +82,6 @@ class TestExpandTable:
             expand_table(0, (1,), -1)
         with pytest.raises(ValueError):
             expand_table(0, (), 3)
-
-
-class TestCoordinateKernels:
-    @given(draw_params())
-    @settings(max_examples=150, deadline=None)
-    def test_owners_and_addresses_match_layout(self, params):
-        p, k, n, align, _sec, _m = params
-        layout = CyclicLayout(p, k)
-        idx = np.arange(n, dtype=np.int64)
-        cells = [align.apply(i) for i in range(n)]
-        assert owners_of(idx, p, k, align.a, align.b).tolist() == [
-            layout.owner(c) for c in cells
-        ]
-        assert local_addresses_of(idx, p, k, align.a, align.b).tolist() == [
-            layout.local_address(c) for c in cells
-        ]
-
-    def test_affine_cell_overflow_is_rejected(self):
-        # 3 * 2**62 does not fit in int64: the vector path used to wrap
-        # to owner 6 / address -658812288346769704, where the scalar
-        # CyclicLayout answers owner 2 / address 1976436865040309102.
-        idx = np.array([2**62], dtype=np.int64)
-        for kernel in (owners_of, local_addresses_of):
-            with pytest.raises(
-                OverflowError, match=r"p=7, k=5, a=3, b=0 at index 4611686018427387904"
-            ):
-                kernel(idx, 7, 5, 3, 0)
-        # The identity alignment stays check-free and exact.
-        assert owners_of(idx, 7, 5).tolist() == [CyclicLayout(7, 5).owner(2**62)]
-
-
-class TestPeriodicRank:
-    @given(draw_params())
-    @settings(max_examples=150, deadline=None)
-    def test_rank_matches_scalar(self, params):
-        p, k, n, align, _sec, m = params
-        alloc = align.allocation_section(n).normalized()
-        table = compute_access_table(p, k, alloc.lower, alloc.stride, m)
-        if table.is_empty:
-            return  # empty-owner processor: no rank function exists
-        ranks = RankFunction(table)
-        addrs = np.asarray(table.local_addresses(3 * table.length + 1))
-        assert ranks.rank_array(addrs).tolist() == [
-            ranks.rank(int(x)) for x in addrs
-        ]
-
-    def test_strict_raises_nonstrict_flags(self):
-        table = compute_access_table(2, 4, 1, 2, 0)  # odds on proc 0
-        ranks = RankFunction(table)
-        bad = np.asarray([ranks.first + 1])
-        with pytest.raises(KeyError):
-            periodic_rank_of(bad, ranks.first, ranks.period_span, ranks._rel_arr)
-        got = periodic_rank_of(
-            bad, ranks.first, ranks.period_span, ranks._rel_arr, strict=False
-        )
-        assert got.tolist() == [-1]
-
-    def test_single_point_cycle(self):
-        # k=1: exactly one offset per period on each processor.
-        table = compute_access_table(3, 1, 0, 1, 1)
-        assert table.length == 1
-        ranks = RankFunction(table)
-        addrs = np.asarray(table.local_addresses(6))
-        assert ranks.rank_array(addrs).tolist() == list(range(6))
-
-    def test_rejects_empty_offsets(self):
-        with pytest.raises(ValueError):
-            periodic_rank_of(np.asarray([0]), 0, 4, np.empty(0, dtype=np.int64))
 
 
 class TestLocalizedArrays:

@@ -68,7 +68,7 @@ class TestTopLevel:
             "repro", "repro.core", "repro.core.access", "repro.core.lattice",
             "repro.core.euclid", "repro.core.offsets", "repro.core.generator",
             "repro.core.counting", "repro.core.fsm", "repro.core.multidim",
-            "repro.core.diagonal", "repro.core.baselines.sorting",
+            "repro.core.baselines.sorting",
             "repro.core.baselines.special", "repro.core.baselines.naive",
             "repro.distribution.section", "repro.distribution.layout",
             "repro.distribution.dist", "repro.distribution.align",
@@ -80,7 +80,6 @@ class TestTopLevel:
             "repro.oracle", "repro.runtime.address",
             "repro.runtime.commsets", "repro.runtime.commsets2d",
             "repro.runtime.exec", "repro.runtime.redistribute",
-            "repro.runtime.triangular", "repro.runtime.sections_io",
             "repro.runtime.native",
             "repro.runtime.native.build",
             "repro.lang.parser", "repro.lang.compiler", "repro.lang.reference",
