@@ -57,18 +57,29 @@ bench-e2e:
 
 # Same-host A/B of the end-to-end benchmark: this tree against its
 # merge-base with main, checked out into a temporary git worktree, ten
-# alternating timed runs a side, then one traced run a side (compare.py
-# checks exact counts on traced runs only).  Fails when compare.py
-# reports a `worse` metric or a count mismatch; the worktree is removed
-# either way.
+# alternating timed runs a side; then four `jacobi` pairs with glibc's
+# heap trim pinned on both sides (MALLOC_TOP_PAD_, see README), so a
+# cell that moves in only one of the two passes reads as a heap-state
+# effect, not the code's; then one traced run a side (compare.py checks
+# exact counts on traced runs only).  Every pass runs; the target fails
+# when any reports a `worse` metric or a count mismatch.  The worktree
+# is removed either way.
 bench-check:
 	set -e; base=$$(git merge-base HEAD main); wt=$$(mktemp -d); rmdir "$$wt"; \
 	git worktree add --detach "$$wt" "$$base"; \
 	trap 'git worktree remove --force "$$wt"' EXIT; \
-	python3 benchmarks/e2e/compare.py --checkouts "$$wt" . --repeat 10; \
+	status=0; \
+	echo "== all workloads, 10 alternating pairs"; \
+	python3 benchmarks/e2e/compare.py --checkouts "$$wt" . --repeat 10 || status=1; \
+	echo "== jacobi, 4 alternating pairs, MALLOC_TOP_PAD_=67108864 on both sides (heap trim pinned)"; \
+	MALLOC_TOP_PAD_=67108864 python3 benchmarks/e2e/compare.py --checkouts "$$wt" . \
+		--workload jacobi --repeat 4 || status=1; \
+	echo "== traced counts, seed 0"; \
 	(cd "$$wt" && python3 benchmarks/e2e/run.py --trace 1 --out traced.json >/dev/null); \
 	python3 benchmarks/e2e/run.py --trace 1 --out .bench_build/traced.json >/dev/null; \
-	python3 benchmarks/e2e/compare.py --base "$$wt/traced.json" --new .bench_build/traced.json
+	python3 benchmarks/e2e/compare.py --base "$$wt/traced.json" --new .bench_build/traced.json \
+		|| status=1; \
+	exit $$status
 
 # Fault-injection + resilient-protocol suites at several seeds
 # (docs/FAULT_MODEL.md): same seed => same fault trace, so any failure

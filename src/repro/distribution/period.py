@@ -87,6 +87,21 @@ class PeriodTable:
     def period(self) -> int:
         return self.owners.size
 
+    def term_period(self, stride: int) -> int:
+        """The period ``T / gcd(stride, T)`` of a section of stride
+        ``stride`` in its term number: terms ``j`` and ``j + T_j`` share
+        an owner."""
+        return self.period // gcd(stride, self.period)
+
+    def block_steps(self, stride: int, block: int) -> np.ndarray:
+        """Per owner, how far ``block`` terms of a section of stride
+        ``stride`` advance its slots (``block`` a multiple of
+        :meth:`term_period`): term ``j + block`` has slot ``slot(j) +
+        steps[owner(j)]``."""
+        if self.last is not None:
+            stride = -stride
+        return stride * block // self.period * self.counts
+
     def _first_period(self, lower: int, stride: int, n: int):
         """Owners and slots of ``lower + j*stride`` over the first block
         of ``min(n, B)`` terms, ``B`` being a multiple of the period in
@@ -95,7 +110,7 @@ class PeriodTable:
         Term ``t`` of block ``q`` then has slot ``slots[t] + q * periods
         * spans[t]``."""
         period = self.period
-        t_j = period // gcd(stride, period)
+        t_j = self.term_period(stride)
         block = t_j * -(-_MIN_BLOCK // t_j)
         index = np.arange(min(n, block), dtype=np.int64)
         index *= stride

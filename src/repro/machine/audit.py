@@ -125,7 +125,8 @@ class _ArenaLedger:
         shadow = self.shadow.reshape(-1).view(np.uint8)
         if np.array_equal(live, shadow):
             return []
-        slots = np.unique(np.nonzero(live != shadow)[0] // self.shadow.itemsize)
+        diverged = (live != shadow).reshape(-1, self.shadow.itemsize).any(axis=1)
+        slots = np.flatnonzero(diverged)
         cuts = np.flatnonzero(np.diff(slots // self.chunk_size)) + 1
         return [
             (int(run[0]) // self.chunk_size, tuple(run.tolist()))
@@ -232,7 +233,10 @@ class IntegrityAuditor:
                 # Legitimate (re)allocation: start a fresh ledger.
                 self._ledgers[(rank, name)] = _ArenaLedger(arena, self.chunk_size)
                 continue
-            slots = np.unique(np.concatenate(slot_runs))
+            # Sorted unique slots from a mask: NumPy's unique hashes.
+            written = np.zeros(arena.size, dtype=bool)
+            written[np.concatenate(slot_runs)] = True
+            slots = np.flatnonzero(written)
             ledger.refresh(slots, arena)
             self.stats.slots_refreshed += int(slots.size)
         self.stats.commits += 1

@@ -219,7 +219,8 @@ class Machine:
         bookkeeping (called at each barrier before fault injection)."""
 
     def close(self) -> None:
-        """Release backend resources (nothing to do in-process)."""
+        """Release backend resources (the in-process machine hands its
+        unshared arenas to the next machine)."""
 
     # ------------------------------------------------------------------
     # Execution

@@ -4,10 +4,17 @@ Each :class:`Processor` owns a set of named local memory arenas
 (1-D NumPy arrays -- the flattened compressed local arrays of
 :class:`repro.distribution.DistributedArray`) plus instrumentation
 counters used by tests and benchmarks.
+
+A closed :class:`repro.machine.vm.VirtualMachine` hands the arenas it
+can prove unshared to the next machine's processors, which take a
+matching one (same dtype and size) before allocating: a program rerun
+on a fresh machine then writes memory that is already resident instead
+of faulting in pages the allocator returned to the system in between.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +43,18 @@ class Processor:
     incarnation number.  Restoring state is the job of
     :mod:`repro.machine.checkpoint`; the processor itself only models
     the volatile-memory loss.
+
+    ``spares`` are released arenas by ``(dtype, size)``, shared by every
+    rank of one machine: :meth:`allocate` takes a matching one and
+    fills it instead of allocating.
     """
 
-    def __init__(self, rank: int) -> None:
+    def __init__(self, rank: int, spares: dict | None = None) -> None:
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
         self.rank = rank
         self._memories: dict[str, np.ndarray] = {}
+        self._spares = {} if spares is None else spares
         self.stats = MemoryStats()
         self.alive = True
         self.incarnation = 0  # bumped at every restart
@@ -93,10 +105,30 @@ class Processor:
         return arena
 
     def _new_arena(self, name: str, size: int, dtype, fill) -> np.ndarray:
-        """Backing storage for one arena (a backend with its own memory,
-        e.g. shared-memory segments, overrides this, :meth:`free`, and
-        :meth:`_wipe`)."""
+        """Backing storage for one arena: a matching spare, filled, or a
+        fresh array (a backend with its own memory, e.g. shared-memory
+        segments, overrides this, :meth:`free`, and :meth:`_wipe`)."""
+        spares = self._spares.get((np.dtype(dtype), size))
+        if spares:
+            arena = spares.pop()
+            arena.fill(fill)
+            return arena
         return np.full(size, fill, dtype=dtype)
+
+    def release(self, spares: dict, min_bytes: int) -> None:
+        """Drop every arena, adding to ``spares`` each one of at least
+        ``min_bytes`` that nothing else references: it owns its data
+        (``base is None``) and no view, export or caller holds it."""
+        memories = self._memories
+        while memories:
+            _, arena = memories.popitem()
+            # The only references left are ``arena`` and the argument.
+            if (
+                arena.nbytes >= min_bytes
+                and arena.base is None
+                and sys.getrefcount(arena) == 2
+            ):
+                spares.setdefault((arena.dtype, arena.size), []).append(arena)
 
     def memory(self, name: str) -> np.ndarray:
         try:

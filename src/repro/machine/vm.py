@@ -18,7 +18,10 @@ all of :mod:`repro.runtime` uses (compute send sets / exchange / apply).
 
 from __future__ import annotations
 
+import threading
 from typing import Any
+
+import numpy as np
 
 from ..obs import Observability
 from .faults import FaultPlan, scribble_arena
@@ -27,6 +30,22 @@ from .network import Network
 from .processor import Processor
 
 __all__ = ["NodeContext", "VirtualMachine"]
+
+#: Arenas of fewer bytes are never handed on: below glibc's default
+#: ``mmap`` threshold the allocator recycles freed chunks without
+#: re-faulting them, so holding small spares back only adds to the peak
+#: resident set (handing on every arena gained no setup time on the e2e
+#: workloads and cost ``layout-sweep`` 0.6 MB of peak RSS).
+_SPARE_MIN_BYTES = 128 * 1024
+
+#: The unshared arenas of the most recently closed machine, by
+#: ``(dtype, size)``; the next machine takes them, and whatever it does
+#: not claim is dropped when it closes in turn.  Process-wide on
+#: purpose: callers build each machine afresh (one per program run), so
+#: there is no object to carry the arenas from one to the next.
+_released: dict[tuple[np.dtype, int], list[np.ndarray]] = {}
+#: Makes taking :data:`_released` one step, so no two machines share it.
+_released_lock = threading.Lock()
 
 
 class VirtualMachine(Machine):
@@ -41,7 +60,8 @@ class VirtualMachine(Machine):
     downtime it restarts with wiped memory -- state restoration is the
     job of :mod:`repro.machine.checkpoint`.  The superstep loop and the
     lifecycle bookkeeping live in :class:`~repro.machine.iface.Machine`;
-    this backend supplies the in-process :class:`Network`.
+    this backend supplies the in-process :class:`Network`.  :meth:`close`
+    releases the arenas for the next machine to reuse.
     """
 
     def __init__(
@@ -50,8 +70,11 @@ class VirtualMachine(Machine):
         fault_plan: FaultPlan | None = None,
         obs: Observability | None = None,
     ) -> None:
+        global _released
         super().__init__(p, obs)
-        self.processors = [Processor(rank) for rank in range(p)]
+        with _released_lock:
+            self._spares, _released = _released, {}
+        self.processors = [Processor(rank, self._spares) for rank in range(p)]
         self.network = Network(p, fault_plan=fault_plan, obs=self.obs)
 
     @property
@@ -127,7 +150,7 @@ class VirtualMachine(Machine):
             raise ValueError(f"grow_to({new_p}) from p={self.p}: need new_p > p")
         step = self.network.superstep
         for rank in range(self.p, new_p):
-            self.processors.append(Processor(rank))
+            self.processors.append(Processor(rank, self._spares))
         self.network.resize(new_p)
         self.p = new_p
         self.obs.inc("elastic.grow")
@@ -148,6 +171,19 @@ class VirtualMachine(Machine):
         self.p = new_p
         self.obs.inc("elastic.retire")
         self.network.record_fault(step, "retire", -1, -1, None, new_p)
+
+    def close(self) -> None:
+        """Release every arena for reuse: each one nothing else
+        references (no view, export or caller holds it) goes to the next
+        machine built in this process; afterwards every rank's
+        :meth:`~repro.machine.processor.Processor.memory` raises
+        ``KeyError``."""
+        global _released
+        released: dict[tuple[np.dtype, int], list[np.ndarray]] = {}
+        for proc in self.processors:
+            proc.release(released, _SPARE_MIN_BYTES)
+        self._spares.clear()
+        _released = released
 
     def reset_stats(self) -> None:
         from .network import NetworkStats

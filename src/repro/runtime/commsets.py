@@ -11,10 +11,12 @@ Every rank's owner and compressed slot of every element come from one
 cached all-ranks period table per side
 (:class:`repro.distribution.period.PeriodTable`), so the public
 :func:`compute_comm_schedule` needs no per-sender access table:
-:func:`dim_transfers` reads both sides' owners and slots for all ``n``
-iterations at once, orders them by ``(source, dest)`` and then
+:func:`dim_transfers` reads both sides' owners and slots over one block
+of their joint period, orders it by ``(source, dest)`` and then
 iteration with one stable radix ``argsort`` on a narrow unsigned key,
-and cuts the :class:`Transfer` buckets with one boundary split.
+cuts the :class:`Transfer` buckets with one boundary split, and extends
+each bucket over the rest of a long section by per-owner slot steps --
+the paper's start-plus-periodic-table form, applied to whole schedules.
 :func:`repro.oracle.compute_comm_schedule_reference` keeps the
 original element-at-a-time loop over each sender's localized elements as
 the oracle the property tests and benchmarks compare against.
@@ -28,10 +30,12 @@ two :func:`dim_transfers` calls, over flat row-major slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 import numpy as np
 
 from ..distribution.array import DistributedArray
+from ..distribution.period import _MIN_BLOCK
 from ..distribution.section import RegularSection
 from .address import dim_period_table
 
@@ -41,6 +45,13 @@ __all__ = [
     "compute_comm_schedule",
     "dim_transfers",
 ]
+
+#: Sections spanning at least this many joint blocks extend one sorted
+#: block by per-bucket outer sums; shorter ones sort every iteration.
+#: Below the line the buckets' two NumPy calls each cost more than the
+#: one radix sort they replace (measured on the ``resilient`` e2e
+#: workload, whose schedules span 21 to 31 blocks).
+_MIN_BLOCKS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,6 +168,18 @@ def _check_conformable(sec_a: RegularSection, sec_b: RegularSection) -> None:
         )
 
 
+def _extend(first: np.ndarray, step: int, rows: int, out: np.ndarray) -> None:
+    """Write ``first + x*step`` for the block rows ``x = 0, 1, ...`` into
+    ``out``, row-major: ``rows`` whole rows, then the first terms of one
+    more row that ``out`` has room for -- each slot once."""
+    full = rows * first.size
+    np.add.outer(
+        np.arange(rows, dtype=np.int64) * step, first,
+        out=out[:full].reshape(rows, first.size),
+    )
+    np.add(first[: out.size - full], rows * step, out=out[full:])
+
+
 def dim_transfers(
     dim_a, sec_a: RegularSection, dim_b, sec_b: RegularSection
 ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -164,10 +187,19 @@ def dim_transfers(
 
     Returns ``(q, r, src_slots, dst_slots)`` for every RHS coordinate
     ``q`` sending to LHS coordinate ``r``, ascending in ``(q, r)``, each
-    pair of vectors in ascending iteration order.  One vectorized pass
-    over all ``n`` iterations: both sides' owners and slots from their
-    period tables, one stable radix ``argsort`` on the narrow key
-    ``q * p_a + r``, and one boundary split into read-only slices.
+    pair of vectors in ascending iteration order.
+
+    Both sides' owners repeat with the *joint period* of the iteration
+    number, the lcm of either side's ``T / gcd(|s|, T)``, and across a
+    joint period every slot advances by a per-owner step.  So one block
+    of whole joint periods (at least ``_MIN_BLOCK`` terms) is sorted:
+    its owners and slots from the period tables, one stable radix
+    ``argsort`` on the narrow key ``q * p_a + r``, one boundary split.
+    A section of at least :data:`_MIN_BLOCKS` blocks then extends each
+    ``(q, r)`` bucket row by row, an outer sum of the block's slots and
+    the owners' per-block steps, into one buffer per side; a shorter
+    section is one block, the whole section sorted at once.  Every slot
+    vector is a read-only slice of its side's buffer.
 
     Shared by the 1-D schedule below and the tensor-product 2-D
     schedule (:mod:`repro.runtime.commsets2d`).
@@ -175,17 +207,24 @@ def dim_transfers(
     n = len(sec_a)
     if n == 0:
         return []
-    p_a = dim_a.layout.p
+    table_a, table_b = dim_period_table(dim_a), dim_period_table(dim_b)
+    block = n
+    if n >= _MIN_BLOCKS * _MIN_BLOCK:  # else no block fits that often
+        joint = lcm(table_a.term_period(sec_a.stride), table_b.term_period(sec_b.stride))
+        joint *= -(-_MIN_BLOCK // joint)
+        if n >= _MIN_BLOCKS * joint:
+            block = joint
+    p_a = table_a.p
     # The narrowest unsigned key dtype (uint16 while p_a * p_b < 2**16)
     # lets NumPy's stable sort take its radix path; int64 keys cost
     # measurably more on large schedules.
-    key_type = np.min_scalar_type(p_a * dim_b.layout.p)
-    src, src_slots = dim_period_table(dim_b).owners_and_slots(sec_b.lower, sec_b.stride, n)
+    key_type = np.min_scalar_type(p_a * table_b.p)
+    src, src_slots = table_b.owners_and_slots(sec_b.lower, sec_b.stride, block)
     # The owner vectors are fresh, so a same-dtype key may reuse one.
     key = src.astype(key_type, copy=False)
     del src
     key *= key_type.type(p_a)
-    dst, dst_slots = dim_period_table(dim_a).owners_and_slots(sec_a.lower, sec_a.stride, n)
+    dst, dst_slots = table_a.owners_and_slots(sec_a.lower, sec_a.stride, block)
     key += dst
     del dst
     # Stable: within one (q, r) bucket the iterations stay ascending.
@@ -193,14 +232,31 @@ def dim_transfers(
     key = key[order]
     src_slots = src_slots[order]
     dst_slots = dst_slots[order]
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    lows, highs = [0, *cuts], [*cuts, block]
+    sources, dests = (v.tolist() for v in np.divmod(key[lows], key_type.type(p_a)))
+    if block < n:
+        rows, rest = divmod(n, block)
+        src_steps = table_b.block_steps(sec_b.stride, block).tolist()
+        dst_steps = table_a.block_steps(sec_a.stride, block).tolist()
+        src_out = np.empty(n, dtype=np.int64)
+        dst_out = np.empty(n, dtype=np.int64)
+        start = 0
+        for i, (q, r, lo, hi) in enumerate(zip(sources, dests, lows, highs)):
+            # The bucket's block positions ascend, so the ones inside
+            # the partial last row are a prefix.
+            stop = start + rows * (hi - lo) + int(np.searchsorted(order[lo:hi], rest))
+            _extend(src_slots[lo:hi], src_steps[q], rows, src_out[start:stop])
+            _extend(dst_slots[lo:hi], dst_steps[r], rows, dst_out[start:stop])
+            lows[i], highs[i] = start, stop
+            start = stop
+        src_slots, dst_slots = src_out, dst_out
     for vec in (src_slots, dst_slots):
         vec.flags.writeable = False
-    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n]
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        q, r = divmod(int(key[lo]), p_a)
-        out.append((q, r, src_slots[lo:hi], dst_slots[lo:hi]))
-    return out
+    return [
+        (q, r, src_slots[lo:hi], dst_slots[lo:hi])
+        for q, r, lo, hi in zip(sources, dests, lows, highs)
+    ]
 
 
 def compute_comm_schedule(
@@ -212,9 +268,9 @@ def compute_comm_schedule(
     """Communication schedule for ``A(sec_a) = B(sec_b)``, vectorized.
 
     The two sections must have equal lengths (conformable statement).
-    One pass of :func:`dim_transfers` over all ``n`` iterations and all
-    ranks -- O(n) vector ops plus, on a period-table miss, one O(k)
-    Figure 5 table per rank; no per-element Python executes.  Produces
+    One call of :func:`dim_transfers` for all ranks -- O(n) vector ops
+    plus, on a period-table miss, one O(k) Figure 5 table per rank; no
+    per-element Python executes.  Produces
     transfers element-for-element identical to
     :func:`repro.oracle.compute_comm_schedule_reference`.
     """

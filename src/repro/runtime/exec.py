@@ -27,6 +27,7 @@ a fresh owned buffer.
 from __future__ import annotations
 
 from itertools import chain
+from math import prod
 
 import numpy as np
 
@@ -116,10 +117,11 @@ def distribute(
     """Scatter a host image into per-rank local memories (named after the
     array).  Replicated axes receive full copies.
 
-    Vectorized: each rank's local image is one cross-product fancy-index
-    gather of the host image, from every dimension's all-ranks indices
-    -- no per-element ownership tests
-    (:func:`repro.oracle.distribute_reference` keeps that scalar sweep).
+    Vectorized: each rank's local image is gathered from every
+    dimension's all-ranks indices -- no per-element ownership tests
+    (:func:`repro.oracle.distribute_reference` keeps that scalar sweep)
+    -- by one ``take`` per axis that needs a gather, the last one written
+    straight into the rank's arena.
     """
     _check_vm(vm, array)
     values = np.asarray(values)
@@ -130,10 +132,30 @@ def distribute(
     with vm.obs.span("distribute", array=array.name):
         images = _dim_images(array)
         for rank in range(array.grid.size):
-            local = values[np.ix_(*rank_vectors(array, images, rank))]
-            proc = vm.processors[rank]
-            proc.allocate(array.name, local.size, dtype=values.dtype)
-            proc.memory(array.name)[:] = local.reshape(-1)
+            vecs = rank_vectors(array, images, rank)
+            shape = tuple(vec.size for vec in vecs)
+            arena = vm.processors[rank].allocate(
+                array.name, prod(shape), dtype=values.dtype
+            )
+            _gather_into(values, vecs, arena.reshape(shape))
+
+
+def _gather_into(values: np.ndarray, vecs: list, out: np.ndarray) -> None:
+    """``out[...] = values[np.ix_(*vecs)]`` without the temporary: one
+    ``take`` per axis whose vector is not the whole extent in order, the
+    last into ``out``.  ``mode="clip"`` never clips (every vector indexes
+    inside its extent); it only spares NumPy the bounds-checked
+    ``"raise"`` mode, which buffers ``out``."""
+    axes = [
+        axis for axis, vec in enumerate(vecs)
+        if vec.size != values.shape[axis] or np.any(vec[1:] <= vec[:-1])
+    ]
+    if not axes:
+        out[...] = values
+        return
+    for axis in axes[:-1]:
+        values = values.take(vecs[axis], axis=axis)
+    values.take(vecs[axes[-1]], axis=axes[-1], out=out, mode="clip")
 
 
 def collect(

@@ -6,11 +6,13 @@ processes in the ``*Mp`` classes; cases that read ``vm.network`` stay
 in-process only.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.machine.iface import create_machine
-from repro.machine.vm import VirtualMachine
+from repro.machine.vm import _SPARE_MIN_BYTES, VirtualMachine
 
 
 class Backend:
@@ -225,3 +227,115 @@ class TestCrashLifecycleMp(Backend):
     test_crash_rank_on_dead_rank_raises = (
         TestCrashLifecycle.test_crash_rank_on_dead_rank_raises
     )
+
+
+class TestArenaReuse:
+    """A closed in-process machine hands its unshared arenas on."""
+
+    #: Cells of the smallest float64 arena a machine hands on.
+    N = _SPARE_MIN_BYTES // 8
+
+    @pytest.fixture(autouse=True)
+    def _empty_pool(self):
+        VirtualMachine(1).close()  # the most recent close releases nothing
+        yield
+        VirtualMachine(1).close()
+
+    def _released(self, fill=7.0):
+        """Close a machine that held one arena; returns a weak
+        reference to it (which holds no reference of its own)."""
+        vm = VirtualMachine(2)
+        arena = vm.processors[1].allocate("A", self.N, fill=fill)
+        ref = weakref.ref(arena)
+        del arena
+        vm.close()
+        return ref
+
+    def test_reused_arena_carries_the_requested_fill(self):
+        ref = self._released()
+        assert ref() is not None
+        vm = VirtualMachine(3)
+        arena = vm.processors[2].allocate("B", self.N, fill=-2.5)
+        assert arena is ref()
+        assert np.array_equal(arena, np.full(self.N, -2.5))
+        # No second taker: the next matching allocation is fresh.
+        assert vm.processors[0].allocate("C", self.N) is not ref()
+        vm.close()
+
+    def test_only_matching_dtype_and_size_are_taken(self):
+        ref = self._released()
+        vm = VirtualMachine(1)
+        assert vm.processors[0].allocate("B", self.N + 1) is not ref()
+        assert vm.processors[0].allocate("C", self.N, dtype=np.int64) is not ref()
+        assert vm.processors[0].allocate("D", self.N) is ref()
+
+    def test_small_arenas_are_not_handed_on(self):
+        vm = VirtualMachine(1)
+        ref = weakref.ref(vm.processors[0].allocate("A", self.N - 1))
+        vm.close()
+        assert ref() is None
+
+    def test_unclaimed_arenas_drop_at_the_next_close(self):
+        ref = self._released()
+        VirtualMachine(1).close()
+        assert ref() is None
+
+    def test_memory_is_gone_after_close(self):
+        vm = VirtualMachine(1)
+        vm.processors[0].allocate("A", 4)
+        vm.close()
+        with pytest.raises(KeyError, match="no local memory"):
+            vm.processors[0].memory("A")
+
+    @pytest.mark.parametrize("hold", ["view", "memory"])
+    def test_a_held_reference_blocks_reuse(self, hold):
+        vm = VirtualMachine(1)
+        vm.processors[0].allocate("A", self.N, fill=4.0)
+        kept = vm.processors[0].memory("A")
+        if hold == "view":
+            kept = kept[10:20]
+        vm.close()
+        fresh = VirtualMachine(1).processors[0].allocate("B", self.N, fill=9.0)
+        assert not np.shares_memory(fresh, kept)
+        assert np.all(kept == 4.0)
+
+    def test_shm_arenas_are_never_handed_on(self):
+        ref = self._released()
+        machine = create_machine(2, "mp")
+        try:
+            machine.allocate_all("A", [self.N, self.N])
+            shm = machine.processors[0].memory("A")
+            assert shm.base is not None and shm is not ref()
+            del shm
+        finally:
+            machine.close()
+        # The in-process machine's arena is still the one on offer, and
+        # nothing the mp machine held joined it.
+        vm = VirtualMachine(1)
+        assert vm.processors[0].allocate("B", self.N) is ref()
+        assert vm.processors[0].allocate("C", self.N).base is None
+
+    def test_crash_wipe_then_restore_is_bit_identical(self):
+        from repro.machine.checkpoint import CheckpointStore
+
+        # Spares of the arenas' size, full of other bits, are on offer:
+        # two for the allocations below, one for the restore.
+        filler = VirtualMachine(3)
+        filler.allocate_all("X", [self.N] * 3, fill=np.nan)
+        spares = [weakref.ref(arena) for arena in filler.memories("X")]
+        filler.close()
+        vm = VirtualMachine(2)
+        values = np.random.default_rng(0).standard_normal(self.N)
+        values[:3] = (-0.0, np.inf, np.nan)
+        for proc in vm.processors:
+            proc.allocate("A", self.N)[:] = values
+        store = CheckpointStore()
+        store.save(vm)
+        vm.crash_rank(1, downtime=1)
+        while not vm.processors[1].alive:
+            vm.run(lambda ctx: None)
+        store.restore_rank(vm, 1)
+        restored = vm.processors[1].memory("A")
+        assert any(restored is ref() for ref in spares)
+        assert restored.tobytes() == values.tobytes()
+        vm.close()

@@ -1,5 +1,8 @@
 """Tests for communication-set generation."""
 
+from math import lcm
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,10 @@ from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import Collapsed, CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
-from repro.runtime.commsets import compute_comm_schedule
+from repro.distribution.period import _MIN_BLOCK
+from repro.oracle import compute_comm_schedule_reference
+from repro.runtime.address import dim_period_table
+from repro.runtime.commsets import _MIN_BLOCKS, compute_comm_schedule
 
 
 def make_array(name, n, p, k, a=1, b=0, textent=None):
@@ -157,3 +163,84 @@ class TestSchedule:
             assert ts == sorted(ts)
             seen += ts
         assert sorted(seen) == list(range(len(sec)))
+
+
+def joint_block(a, sec_a, b, sec_b):
+    """The block ``dim_transfers`` sorts: whole joint periods of both
+    sides' owners in the iteration number, at least ``_MIN_BLOCK``."""
+    joint = lcm(
+        dim_period_table(a._dims[0]).term_period(sec_a.stride),
+        dim_period_table(b._dims[0]).term_period(sec_b.stride),
+    )
+    return joint * -(-_MIN_BLOCK // joint)
+
+
+def assert_matches_reference(a, sec_a, b, sec_b):
+    vec = compute_comm_schedule(a, sec_a, b, sec_b)
+    ref = compute_comm_schedule_reference(a, sec_a, b, sec_b)
+    assert vec.n_iterations == ref.n_iterations
+    for got, want in ((vec.locals_, ref.locals_), (vec.transfers, ref.transfers)):
+        assert [t.astuples() for t in got] == [t.astuples() for t in want]
+        for t in got:
+            for slots in (t.src_slots, t.dst_slots):
+                assert slots.dtype == np.int64 and not slots.flags.writeable
+
+
+class TestPeriodicPath:
+    """Sections of at least ``_MIN_BLOCKS`` joint blocks: one sorted
+    block extended row by row, element-for-element the reference's."""
+
+    def test_jacobi_like_shift(self):
+        """Identity ``CYCLIC(8)`` on four ranks, shifted by one, with a
+        partial last row (``n - 2`` is no multiple of the block)."""
+        n = 70_001
+        a, b = make_array("A", n, 4, 8), make_array("B", n, 4, 8)
+        sec_a, sec_b = RegularSection(1, n - 2, 1), RegularSection(0, n - 3, 1)
+        block = joint_block(a, sec_a, b, sec_b)
+        assert len(sec_a) >= _MIN_BLOCKS * block and len(sec_a) % block
+        assert_matches_reference(a, sec_a, b, sec_b)
+
+    def test_reflected_side(self):
+        n = 67_000
+        a = make_array("A", n, 3, 8)
+        b = make_array("B", n, 3, 4, a=-1, b=n - 1, textent=n)
+        sec = RegularSection(2, n - 1, 1)
+        assert len(sec) >= _MIN_BLOCKS * joint_block(a, sec, b, sec)
+        assert_matches_reference(a, sec, b, sec)
+
+    def test_negative_strides(self):
+        n = 140_000
+        a, b = make_array("A", n, 4, 8), make_array("B", n, 4, 16)
+        count = 69_000
+        sec_a = RegularSection(n - 1, n - 1 - 2 * (count - 1), -2)
+        sec_b = RegularSection(5 + (count - 1), 5, -1)
+        assert len(sec_a) == len(sec_b) == count
+        assert count >= _MIN_BLOCKS * joint_block(a, sec_a, b, sec_b)
+        assert_matches_reference(a, sec_a, b, sec_b)
+
+    def test_affine_alignment(self):
+        n = 66_600
+        a = make_array("A", n, 2, 5, a=2, b=1, textent=2 * n + 1)
+        b = make_array("B", n, 2, 8, a=3, b=4, textent=3 * n + 4)
+        sec = RegularSection(7, n - 1, 1)
+        assert len(sec) >= _MIN_BLOCKS * joint_block(a, sec, b, sec)
+        assert_matches_reference(a, sec, b, sec)
+
+    def test_cross_p(self):
+        """Owners of periods 32 and 15: the joint block is 1,440 terms."""
+        n = 95_000
+        a, b = make_array("A", n, 4, 8), make_array("B", n, 3, 5)
+        sec_a, sec_b = RegularSection(0, n - 4, 1), RegularSection(3, n - 1, 1)
+        assert joint_block(a, sec_a, b, sec_b) == 1440
+        assert len(sec_a) >= _MIN_BLOCKS * 1440
+        assert_matches_reference(a, sec_a, b, sec_b)
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_at_the_line(self, offset):
+        """One case just below ``_MIN_BLOCKS`` blocks (the one sort) and
+        one exactly on it (the extension, no partial row)."""
+        n = _MIN_BLOCKS * _MIN_BLOCK + 1 + offset
+        a, b = make_array("A", n, 4, 8), make_array("B", n, 4, 4)
+        sec_a, sec_b = RegularSection(1, n - 1, 1), RegularSection(0, n - 2, 1)
+        assert len(sec_a) - _MIN_BLOCKS * joint_block(a, sec_a, b, sec_b) == offset
+        assert_matches_reference(a, sec_a, b, sec_b)

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
 from repro.distribution.dist import Collapsed, CyclicK, ProcessorGrid
+from repro.distribution.period import _MIN_BLOCK
 from repro.distribution.section import RegularSection
 from repro.machine.vm import VirtualMachine
+from repro.oracle import compute_comm_schedule_reference
+from repro.runtime.commsets import _MIN_BLOCKS
 from repro.runtime.commsets2d import compute_comm_schedule_2d
 from repro.runtime.exec import collect, distribute, execute_copy_2d
 
@@ -296,3 +299,52 @@ class TestExecution:
             2 : 3 + (c0 - 1) * s0 : s0, 1 : 2 + (c1 - 1) * s1 : s1
         ]
         assert np.allclose(got, ref)
+
+
+class TestPeriodicAxis:
+    def test_long_axis_matches_reference(self):
+        """Iteration axis 0 spans more than ``_MIN_BLOCKS`` joint blocks,
+        so its transfers come from one sorted block extended row by row;
+        axis 1 is short and sorted whole.  The expected schedule is the
+        odometer-order product of the two axes' scalar reference
+        schedules (:func:`repro.oracle.compute_comm_schedule_reference`
+        over rank-1 arrays of the same mappings)."""
+        n0 = _MIN_BLOCKS * _MIN_BLOCK + 300
+        a = make_2d("A", (n0, 6), (2, 2), 8, 2)
+        b = make_2d("B", (n0, 6), (2, 2), 4, 3)
+        secs_a = (RegularSection(1, n0 - 1, 1), RegularSection(0, 4, 2))
+        secs_b = (RegularSection(n0 - 2, 0, -1), RegularSection(1, 5, 2))
+        sched = compute_comm_schedule_2d(a, secs_a, b, secs_b)
+        got = {
+            (tr.source, tr.dest): (tr.src_slots.tolist(), tr.dst_slots.tolist())
+            for tr in sched.locals_ + sched.transfers
+        }
+        for tr in sched.locals_ + sched.transfers:
+            for v in (tr.src_slots, tr.dst_slots):
+                assert not v.flags.writeable
+
+        def axis(array, e):
+            grid = ProcessorGrid("P", (2,))
+            k = array.axis_maps[e].distribution.k
+            return DistributedArray(
+                f"{array.name}{e}", (array.shape[e],), grid,
+                (AxisMap(CyclicK(k), grid_axis=0),),
+            )
+
+        def reference(e):
+            ref = compute_comm_schedule_reference(
+                axis(a, e), secs_a[e], axis(b, e), secs_b[e]
+            )
+            return [t.astuples() for t in ref.locals_ + ref.transfers]
+
+        per_axis = [reference(0), reference(1)]
+        want = {}
+        for q0, r0, bs0, as0 in per_axis[0]:
+            for q1, r1, bs1, as1 in per_axis[1]:
+                src, dst = b.grid.linearize((q0, q1)), a.grid.linearize((r0, r1))
+                width_b, width_a = b.local_shape(src)[1], a.local_shape(dst)[1]
+                want[(src, dst)] = (
+                    [s0 * width_b + s1 for s0 in bs0 for s1 in bs1],
+                    [d0 * width_a + d1 for d0 in as0 for d1 in as1],
+                )
+        assert got == want

@@ -255,6 +255,38 @@ class TestVectorizedDistributeCollect:
         assert np.array_equal(collect(vm_v, arr_v), host)
         assert np.array_equal(collect_reference(vm_v, arr_v), host)
 
+    @pytest.mark.parametrize(
+        "grid_shape, a1, b1",
+        [
+            ((2, 3), 1, 0),  # both axes gathered
+            ((3, 1), 1, 0),  # axis 1 is the whole extent in order: no gather
+            ((3, 1), -1, 6),  # axis 1 is the whole extent, reversed
+            ((1, 1), 1, 0),  # nothing to gather: one plain copy
+        ],
+    )
+    def test_2d_takes_match_reference(self, grid_shape, a1, b1):
+        grid = ProcessorGrid("G", grid_shape)
+
+        def array(name):
+            return DistributedArray(
+                name, (9, 7), grid,
+                (
+                    AxisMap(CyclicK(2), grid_axis=0),
+                    AxisMap(CyclicK(3), Alignment(a1, b1), grid_axis=1),
+                ),
+            )
+
+        arr, ref = array("V"), array("S")
+        host = np.arange(63, dtype=float).reshape(9, 7)
+        vm_v, vm_s = VirtualMachine(grid.size), VirtualMachine(grid.size)
+        distribute(vm_v, arr, host)
+        distribute_reference(vm_s, ref, host)
+        for m in range(grid.size):
+            assert np.array_equal(
+                vm_v.processors[m].memory("V"), vm_s.processors[m].memory("S")
+            )
+        assert np.array_equal(collect(vm_v, arr), host)
+
     def test_2d_replicated_matches_reference(self):
         # Rank-2 array on a 2x2 grid distributing only dim 0: the array
         # is replicated across grid axis 1, exercising the lowest-owner
